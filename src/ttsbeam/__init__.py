@@ -27,7 +27,6 @@ from .single_user import (
     BcdResult,
     PddParams,
     PddResult,
-    PddState,
     QuadraticForm,
     bcd_solve,
     brute_force_solve,
@@ -35,8 +34,6 @@ from .single_user import (
     mrt_precoder,
     mrt_rate,
     pdd_solve,
-    pdd_u_step,
-    pdd_v_step,
     rate_upper_bound,
 )
 from .multi_user import (
@@ -55,7 +52,6 @@ from .multi_user import (
     wmmse_solve,
 )
 from .baselines import (
-    BASELINE_TAGS,
     icsi_per_slot,
     instantaneous_quadratic_form,
     naive_icsi,

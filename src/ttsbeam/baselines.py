@@ -17,7 +17,7 @@ from .channel import (
     effective_channels,
     grid_angles,
 )
-from .multi_user import SscaParams, ssca_run, wmmse_solve
+from .multi_user import SscaParams, instantaneous_rates, ssca_run, wmmse_solve
 from .single_user import (
     PddParams,
     QuadraticForm,
@@ -26,9 +26,6 @@ from .single_user import (
     mrt_rate,
     pdd_solve,
 )
-
-BASELINE_TAGS = ("random-phase", "no-irs", "naive-icsi", "single-timescale", "icsi-per-slot")
-
 
 def random_phase(levels: int, n: int, rng: np.random.Generator) -> PhaseConfig:
     """Unit-amplitude reflection vector with phases drawn uniformly.
@@ -50,17 +47,8 @@ def no_irs_rate(
     if ch.num_users == 1:
         return np.array([mrt_rate(ch.h_d[0], power, float(np.atleast_1d(noise)[0]))])
     state = wmmse_solve(ch.h_d, weights_alpha, power, noise)
-    rates, _ = _rates_from_direct(ch, state.w, noise)
+    rates, _ = instantaneous_rates(np.zeros(ch.h_r.shape[1]), state.w, ch, noise)
     return rates
-
-
-def _rates_from_direct(ch: InstantaneousChannels, w: np.ndarray, noise) -> tuple[np.ndarray, None]:
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
-    c = ch.h_d.conj() @ w.T
-    powers = np.abs(c) ** 2
-    total = powers.sum(axis=1) + noise
-    own = np.diagonal(powers)
-    return np.log2(total / (total - own)), None
 
 
 def instantaneous_quadratic_form(ch: InstantaneousChannels, k: int = 0) -> QuadraticForm:
@@ -88,9 +76,8 @@ def naive_icsi(
     if first_slot.num_users == 1:
         params = pdd_params or PddParams(levels=levels)
         return pdd_solve(instantaneous_quadratic_form(first_slot), params).config
-    config, _ = icsi_per_slot(first_slot, levels, weights_alpha, power, noise,
-                              pdd_params=pdd_params)
-    return config
+    return icsi_per_slot(first_slot, levels, weights_alpha, power, noise,
+                         pdd_params=pdd_params).config
 
 
 def single_timescale(
@@ -156,9 +143,6 @@ class IcsiDesign:
     config: PhaseConfig
     w: np.ndarray
     round_objectives: list[float] = field(default_factory=list)
-
-    def __iter__(self):  # unpacks as (config, w)
-        return iter((self.config, self.w))
 
 
 def icsi_per_slot(

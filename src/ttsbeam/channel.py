@@ -227,15 +227,6 @@ class StatisticalCsi:
         v = np.asarray(v)
         return (self.zbar_r * v[None, :]) @ self.fbar.conj() + self.zbar_d
 
-    def copy(self) -> "StatisticalCsi":
-        return StatisticalCsi(
-            zbar_r=self.zbar_r.copy(), zbar_d=self.zbar_d.copy(), fbar=self.fbar.copy(),
-            phi_r=self.phi_r.copy(), phi_d=self.phi_d.copy(), phi_rk=self.phi_rk.copy(),
-            s_au=self.s_au.copy(), s_ai=self.s_ai, s_iu=self.s_iu.copy(),
-            phi_r_sqrt=self.phi_r_sqrt.copy(), phi_d_sqrt=self.phi_d_sqrt.copy(),
-            phi_rk_sqrt=self.phi_rk_sqrt.copy(),
-        )
-
 
 @dataclass
 class InstantaneousChannels:

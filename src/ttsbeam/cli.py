@@ -64,8 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ttsbeam", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for trials")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed (default: $TTSBEAM_SEED if set)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -89,26 +89,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _env_seed() -> int | None:
+    raw = os.environ.get("TTSBEAM_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"TTSBEAM_SEED must be an integer, got '{raw}'") from None
+
+
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     if args.seed is not None:
         spec.seed = args.seed
-    if args.threads is not None:
-        spec.threads = args.threads
     return spec
 
 
 def _cmd_run(args) -> int:
+    """`run`, and `sweep` with the config's sweep replaced by --var/--grid."""
     spec = _apply_overrides(load_config(args.config), args)
-    records = run_experiment(spec)
-    emit_csv(records, args.out)
-    log.info("wrote %d records to %s", len(records), args.out)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    grid = tuple(float(x) for x in args.grid.split(","))
-    spec.sweep = SweepSpec(variable=args.var, grid=grid)
+    if args.command == "sweep":
+        grid = tuple(float(x) for x in args.grid.split(","))
+        spec.sweep = SweepSpec(variable=args.var, grid=grid)
     records = run_experiment(spec)
     emit_csv(records, args.out)
     log.info("wrote %d records to %s", len(records), args.out)
@@ -159,12 +161,12 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _validate(config_path: str | None, seed: int) -> int:
+def _validate(args) -> int:
     scenario = default_single_user_scenario()
-    if config_path is not None:
-        spec = load_config(config_path)
-        scenario = spec.scenario
-        seed = spec.seed
+    seed = args.seed if args.seed is not None else 0
+    if args.config is not None:
+        spec = _apply_overrides(load_config(args.config), args)
+        scenario, seed = spec.scenario, spec.seed
     ok = True
 
     corr = exp_correlation(16, 0.6)
@@ -253,18 +255,13 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(message)s")
-    if args.seed is None and "TTSBEAM_SEED" in os.environ:
-        args.seed = int(os.environ["TTSBEAM_SEED"])
-    if args.threads is None and "TTSBEAM_THREADS" in os.environ:
-        args.threads = int(os.environ["TTSBEAM_THREADS"])
-
     try:
-        if args.command == "run":
+        if args.seed is None:
+            args.seed = _env_seed()
+        if args.command in ("run", "sweep"):
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         if args.command == "validate":
-            return _validate(args.config, args.seed if args.seed is not None else 0)
+            return _validate(args)
         if args.command == "convergence":
             return _cmd_convergence(args)
         return 1

@@ -63,7 +63,6 @@ class ExperimentSpec:
     weights: np.ndarray
     seed: int = DEFAULT_SEED
     sweep: SweepSpec | None = None
-    threads: int = 1
     ssca: SscaParams = field(default_factory=SscaParams)
 
     def __post_init__(self):
@@ -79,8 +78,6 @@ class ExperimentSpec:
         self.weights = np.broadcast_to(
             np.asarray(self.weights, dtype=float), (self.scenario.num_users,)
         ).copy()
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def levels_for_bits(q: int) -> int:
@@ -244,7 +241,6 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
             weights=np.asarray(exp.get("weights", [1.0] * scenario.num_users), dtype=float),
             seed=int(raw.get("seed", DEFAULT_SEED)),
             sweep=sweep,
-            threads=int(exp.get("threads", 1)),
             ssca=ssca,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -254,10 +250,7 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
 
 
 def load_config(path: str) -> ExperimentSpec:
-    """Parse a YAML experiment file, applying environment overrides.
-
-    TTSBEAM_SEED and TTSBEAM_THREADS override the corresponding config fields.
-    """
+    """Parse a YAML experiment file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -267,11 +260,4 @@ def load_config(path: str) -> ExperimentSpec:
             raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
-    spec = spec_from_mapping(raw)
-    env_seed = os.environ.get("TTSBEAM_SEED")
-    if env_seed is not None:
-        spec.seed = int(env_seed)
-    env_threads = os.environ.get("TTSBEAM_THREADS")
-    if env_threads is not None:
-        spec.threads = int(env_threads)
-    return spec
+    return spec_from_mapping(raw)

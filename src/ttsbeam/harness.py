@@ -10,20 +10,26 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import baselines
-from .channel import Scenario, build_scsi, effective_channels, sample_instantaneous
+from .channel import (
+    InstantaneousChannels,
+    Scenario,
+    build_scsi,
+    effective_channels,
+    sample_batch,
+)
 from .config import ExperimentSpec, db_to_linear, dbm_to_watts, levels_for_bits
 from .multi_user import instantaneous_rates, ssca_run, wmmse_solve
 from .rng import substream
 from .single_user import (
     PddParams,
+    QuadraticForm,
     build_quadratic_form,
-    mrt_rate,
     pdd_solve,
     pdd_solve_batch,
 )
@@ -49,7 +55,6 @@ class ResultRecord:
     user_rates: np.ndarray        # (K,) mean per-user rate, bits/s/Hz
     weighted_sum_rate: float
     std_error: float              # std error of the per-trial weighted rates
-    wall_time: float              # seconds spent on the whole sweep point
     trials_used: int
     failures: int
 
@@ -105,21 +110,6 @@ def _scheme_cells(spec: ExperimentSpec) -> list[tuple[str, int]]:
     return sorted(set(cells))
 
 
-def _su_rate(v, ch, power, noise) -> np.ndarray:
-    h = effective_channels(v, ch)
-    return np.array([mrt_rate(h[0], power, float(noise[0]))])
-
-
-def _short_term_rates(v, ch, power, noise, weights) -> np.ndarray:
-    """Per-slot rates with phases frozen and precoders re-optimized."""
-    if ch.num_users == 1:
-        return _su_rate(v, ch, power, noise)
-    h = effective_channels(v, ch)
-    state = wmmse_solve(h, weights, power, noise)
-    rates, _ = instantaneous_rates(v, state.w, ch, noise)
-    return rates
-
-
 # per-slot instantaneous designs re-solve a full problem 200+ times per trial;
 # the faster penalty schedule is inside the range the solver tolerates without
 # measurable quality loss and keeps sweep runtimes practical
@@ -127,171 +117,150 @@ def _icsi_pdd_params(levels: int) -> PddParams:
     return PddParams(levels=levels, c=0.8, max_inner=30)
 
 
-def _long_term_configs(
-    scsi, scenario: Scenario, spec: ExperimentSpec, trial: int, cells
-) -> dict[tuple[str, int], object]:
-    seed = spec.seed
-    power, noise, weights = scenario.transmit_power, scenario.noise_powers, spec.weights
-    su = scenario.num_users == 1
-    qf = None
-    if su and any(s in ("tts-pdd", "single-timescale") for s, _ in cells):
-        qf = build_quadratic_form(scsi)
+class _Trial:
+    """One trial's draws: the statistical CSI and every slot, stacked over slots.
 
-    frozen: dict[tuple[str, int], object] = {}
-    for scheme, q in cells:
-        levels = levels_for_bits(q)
-        if scheme == "tts-pdd":
-            if not su:
-                raise ExperimentError("tts-pdd is the single-user long-term scheme")
-            frozen[(scheme, q)] = pdd_solve(qf, PddParams(levels=levels)).config.v
-        elif scheme == "tts-ssca":
-            res = ssca_run(scsi, power, noise, weights, spec.ssca, levels=levels,
-                           rng=substream(seed, "ssca", trial, q))
-            frozen[(scheme, q)] = res.config.v
-        elif scheme == "naive-icsi":
-            first = sample_instantaneous(scsi, substream(seed, "samples", trial, 0))
-            frozen[(scheme, q)] = baselines.naive_icsi(
-                first, levels, weights, power, noise,
-                pdd_params=_icsi_pdd_params(levels)).v
-        elif scheme == "single-timescale":
-            if su:
-                cfg = pdd_solve(qf, PddParams(levels=levels)).config
-                h_mean = scsi.mean_effective_channels(cfg.v)
-                nrm = np.linalg.norm(h_mean[0])
-                w = np.zeros_like(h_mean) if nrm == 0 else np.sqrt(power) * h_mean / nrm
-            else:
-                cfg, w = baselines.single_timescale(
-                    scsi, levels, power, noise, weights,
-                    ssca_params=spec.ssca, rng=substream(seed, "ssca", trial, q, "st"))
-            frozen[(scheme, q)] = (cfg.v, w)
-    return frozen
+    Substreams: the statistical CSI comes from ("scsi", trial) and slot s from
+    ("samples", trial, s); schemes draw theirs through `rng`.
+    """
+
+    def __init__(self, scenario: Scenario, spec: ExperimentSpec, index: int):
+        self.spec, self.index = spec, index
+        self.power, self.noise = scenario.transmit_power, scenario.noise_powers
+        self.scsi = build_scsi(scenario, substream(spec.seed, "scsi", index))
+        draws = [sample_batch(self.scsi, 1, substream(spec.seed, "samples", index, s))
+                 for s in range(spec.slots)]
+        # g (S, N, M), h_r (S, K, N), h_d (S, K, M)
+        self.g, self.h_r, self.h_d = (np.concatenate(parts) for parts in zip(*draws))
+
+    def slot(self, s: int) -> InstantaneousChannels:
+        return InstantaneousChannels(g=self.g[s], h_r=self.h_r[s], h_d=self.h_d[s])
+
+    def rng(self, name: str, *path) -> np.random.Generator:
+        return substream(self.spec.seed, name, self.index, *path)
+
+    @cached_property
+    def qf(self) -> QuadraticForm:
+        return build_quadratic_form(self.scsi)
+
+    def su_channels(self, v: np.ndarray) -> np.ndarray:
+        """(S, M) single-user effective channels for v of shape (N,) or (S, N)."""
+        return np.einsum("sn,snm->sm", self.h_r[:, 0] * v, self.g.conj()) + self.h_d[:, 0]
 
 
-def _run_trial_single_user(
-    scenario: Scenario, spec: ExperimentSpec, trial: int
-) -> dict[tuple[str, int], np.ndarray]:
-    """Single-user trial with all per-slot evaluations vectorized over slots."""
-    seed = spec.seed
-    n = scenario.num_elements
-    power = scenario.transmit_power
-    noise = float(scenario.noise_powers[0])
-    cells = _scheme_cells(spec)
-    scsi = build_scsi(scenario, substream(seed, "scsi", trial))
-    frozen = _long_term_configs(scsi, scenario, spec, trial, cells)
-
-    slots = spec.slots
-    chs = [sample_instantaneous(scsi, substream(seed, "samples", trial, s)) for s in range(slots)]
-    g = np.stack([c.g for c in chs])            # (S, N, M)
-    h_r = np.stack([c.h_r[0] for c in chs])     # (S, N)
-    h_d = np.stack([c.h_d[0] for c in chs])     # (S, M)
-
-    def mrt_rates_for(v_slots: np.ndarray) -> np.ndarray:
-        # v_slots: (N,) shared or (S, N) per slot
-        if v_slots.ndim == 1:
-            v_slots = np.broadcast_to(v_slots, h_r.shape)
-        h_eff = np.einsum("sn,snm->sm", h_r * v_slots, g.conj()) + h_d
-        gains = np.einsum("sm,sm->s", h_eff.conj(), h_eff).real
-        return np.log2(1.0 + power * gains / noise)
-
-    out: dict[tuple[str, int], np.ndarray] = {}
-    for scheme, q in cells:
-        levels = levels_for_bits(q)
-        if scheme in ("tts-pdd", "tts-ssca", "naive-icsi"):
-            rates = mrt_rates_for(np.asarray(frozen[(scheme, q)]))
-        elif scheme == "single-timescale":
-            v, w = frozen[(scheme, q)]
-            h_eff = np.einsum("sn,snm->sm", h_r * np.asarray(v), g.conj()) + h_d
-            sig = np.abs(h_eff.conj() @ w[0]) ** 2
-            rates = np.log2(1.0 + sig / noise)
-        elif scheme == "random-phase":
-            v_slots = np.stack([
-                baselines.random_phase(levels, n, substream(seed, "phase", trial, s, q)).v
-                for s in range(slots)
-            ])
-            rates = mrt_rates_for(v_slots)
-        elif scheme == "no-irs":
-            gains = np.einsum("sm,sm->s", h_d.conj(), h_d).real
-            rates = np.log2(1.0 + power * gains / noise)
-        elif scheme == "icsi-per-slot":
-            gg = g @ g.conj().transpose(0, 2, 1)
-            phis = h_r.conj()[:, :, None] * gg * h_r[:, None, :]
-            bs = h_r.conj() * np.einsum("snm,sm->sn", g, h_d)
-            u, _, _ = pdd_solve_batch(phis, bs, _icsi_pdd_params(levels))
-            rates = mrt_rates_for(u)
-        else:
-            raise ExperimentError(f"unknown scheme tag '{scheme}'")
-        out[(scheme, q)] = np.array([rates.mean()])
-    return out
+def _adaptive_precoders(t: _Trial, v: np.ndarray) -> np.ndarray:
+    """(S, K) rates with the phases v held, (N,) shared or (S, N) per slot, and
+    the precoders re-optimized every slot: MRT for one user, WMMSE for more."""
+    if t.h_r.shape[1] == 1:
+        h = t.su_channels(v)
+        gains = np.einsum("sm,sm->s", h.conj(), h).real
+        return np.log2(1.0 + t.power * gains / float(t.noise[0]))[:, None]
+    rates = np.empty(t.h_d.shape[:2])
+    for s in range(len(rates)):
+        ch, vs = t.slot(s), v if v.ndim == 1 else v[s]
+        state = wmmse_solve(effective_channels(vs, ch), t.spec.weights, t.power, t.noise)
+        rates[s], _ = instantaneous_rates(vs, state.w, ch, t.noise)
+    return rates
 
 
-def _run_trial_multi_user(
-    scenario: Scenario, spec: ExperimentSpec, trial: int
-) -> dict[tuple[str, int], np.ndarray]:
-    seed = spec.seed
-    k = scenario.num_users
-    n = scenario.num_elements
-    power = scenario.transmit_power
-    noise = scenario.noise_powers
-    weights = spec.weights
-    cells = _scheme_cells(spec)
-    scsi = build_scsi(scenario, substream(seed, "scsi", trial))
-    frozen = _long_term_configs(scsi, scenario, spec, trial, cells)
+def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(S, K) rates with the phases and the precoders both held; v is (N,) or
+    (S, N), w is (K, M) or (S, K, M)."""
+    if t.h_r.shape[1] == 1 and w.ndim == 2:
+        sig = np.abs(t.su_channels(v).conj() @ w[0]) ** 2
+        return np.log2(1.0 + sig / float(t.noise[0]))[:, None]
+    return np.stack([
+        instantaneous_rates(v if v.ndim == 1 else v[s], w if w.ndim == 2 else w[s],
+                            t.slot(s), t.noise)[0]
+        for s in range(t.spec.slots)
+    ])
 
-    sums = {cell: np.zeros(k) for cell in cells}
-    for slot in range(spec.slots):
-        ch = sample_instantaneous(scsi, substream(seed, "samples", trial, slot))
-        for scheme, q in cells:
-            levels = levels_for_bits(q)
-            if scheme in ("tts-pdd", "tts-ssca", "naive-icsi"):
-                rates = _short_term_rates(frozen[(scheme, q)], ch, power, noise, weights)
-            elif scheme == "single-timescale":
-                v, w = frozen[(scheme, q)]
-                rates, _ = instantaneous_rates(v, w, ch, noise)
-            elif scheme == "random-phase":
-                cfg = baselines.random_phase(levels, n, substream(seed, "phase", trial, slot, q))
-                rates = _short_term_rates(cfg.v, ch, power, noise, weights)
-            elif scheme == "no-irs":
-                rates = baselines.no_irs_rate(ch, weights, power, noise)
-            elif scheme == "icsi-per-slot":
-                cfg, w = baselines.icsi_per_slot(ch, levels, weights, power, noise)
-                rates, _ = instantaneous_rates(cfg.v, w, ch, noise)
-            else:
-                raise ExperimentError(f"unknown scheme tag '{scheme}'")
-            sums[(scheme, q)] += rates
-    return {cell: sums[cell] / spec.slots for cell in cells}
+
+# Scheme entries: design on the slow timescale, then one of the two evaluators.
+# Kernels are called by their module-level names so that wrapping a module
+# attribute (as a profiler or tracer does) sees every call.
+
+def _tts_pdd(t: _Trial, levels: int, q: int) -> np.ndarray:
+    if t.h_r.shape[1] != 1:
+        raise ExperimentError("tts-pdd is the single-user long-term scheme")
+    return _adaptive_precoders(t, pdd_solve(t.qf, PddParams(levels=levels)).config.v)
+
+
+def _tts_ssca(t: _Trial, levels: int, q: int) -> np.ndarray:
+    res = ssca_run(t.scsi, t.power, t.noise, t.spec.weights, t.spec.ssca, levels=levels,
+                   rng=t.rng("ssca", q))
+    return _adaptive_precoders(t, res.config.v)
+
+
+def _random_phase(t: _Trial, levels: int, q: int) -> np.ndarray:
+    n = t.h_r.shape[2]
+    v = np.stack([baselines.random_phase(levels, n, t.rng("phase", s, q)).v
+                  for s in range(t.spec.slots)])
+    return _adaptive_precoders(t, v)
+
+
+def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
+    return _adaptive_precoders(t, np.zeros(t.h_r.shape[2], dtype=complex))
+
+
+def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
+    cfg = baselines.naive_icsi(t.slot(0), levels, t.spec.weights, t.power, t.noise,
+                               pdd_params=_icsi_pdd_params(levels))
+    return _adaptive_precoders(t, cfg.v)
+
+
+def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
+    cfg, w = baselines.single_timescale(t.scsi, levels, t.power, t.noise, t.spec.weights,
+                                        ssca_params=t.spec.ssca, rng=t.rng("ssca", q, "st"))
+    return _fixed_precoders(t, cfg.v, w)
+
+
+def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
+    if t.h_r.shape[1] == 1:
+        # every slot's ||h_eff(v)||^2 as a quadratic form, solved in one batch
+        h_r, h_d = t.h_r[:, 0], t.h_d[:, 0]
+        gg = t.g @ t.g.conj().transpose(0, 2, 1)
+        phis = h_r.conj()[:, :, None] * gg * h_r[:, None, :]
+        bs = h_r.conj() * np.einsum("snm,sm->sn", t.g, h_d)
+        u, _, _ = pdd_solve_batch(phis, bs, _icsi_pdd_params(levels))
+        return _adaptive_precoders(t, u)
+    designs = [baselines.icsi_per_slot(t.slot(s), levels, t.spec.weights, t.power, t.noise)
+               for s in range(t.spec.slots)]
+    return _fixed_precoders(t, np.stack([d.config.v for d in designs]),
+                            np.stack([d.w for d in designs]))
+
+
+SCHEMES = {
+    "tts-pdd": _tts_pdd,
+    "tts-ssca": _tts_ssca,
+    "random-phase": _random_phase,
+    "no-irs": _no_irs,
+    "naive-icsi": _naive_icsi,
+    "single-timescale": _single_timescale,
+    "icsi-per-slot": _icsi_per_slot,
+}
 
 
 def _run_trial(scenario: Scenario, spec: ExperimentSpec, trial: int) -> dict[tuple[str, int], np.ndarray]:
-    if scenario.num_users == 1:
-        return _run_trial_single_user(scenario, spec, trial)
-    return _run_trial_multi_user(scenario, spec, trial)
+    """Mean per-user rates of every (scheme, q) cell over one trial's slots."""
+    t = _Trial(scenario, spec, trial)
+    return {(scheme, q): SCHEMES[scheme](t, levels_for_bits(q), q).mean(axis=0)
+            for scheme, q in _scheme_cells(spec)}
 
 
 def simulate_point(
-    scenario: Scenario, spec: ExperimentSpec, threads: int | None = None
+    scenario: Scenario, spec: ExperimentSpec
 ) -> tuple[dict[tuple[str, int], PointStats], int]:
     """Run all trials at one sweep point; returns per-trial stats and failure count."""
-    threads = threads if threads is not None else spec.threads
-    cells = _scheme_cells(spec)
-    results: list[dict | None] = [None] * spec.trials
-    failures = 0
-
-    def work(trial: int):
+    kept = []
+    for trial in range(spec.trials):
         try:
-            return _run_trial(scenario, spec, trial)
+            kept.append(_run_trial(scenario, spec, trial))
         except ExperimentError:
             raise
         except Exception as exc:  # per-trial numerical failures are tolerated
             log.warning("trial %d failed: %s", trial, exc)
-            return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(spec.trials)))
-    else:
-        results = [work(t) for t in range(spec.trials)]
-
-    kept = [r for r in results if r is not None]
     failures = spec.trials - len(kept)
     if failures > MAX_FAILURE_FRACTION * spec.trials:
         raise ExperimentError(
@@ -301,7 +270,7 @@ def simulate_point(
         log.warning("%d/%d trials failed and were excluded", failures, spec.trials)
 
     stats = {}
-    for cell in cells:
+    for cell in _scheme_cells(spec):
         per_user = np.stack([r[cell] for r in kept])
         weighted = per_user @ spec.weights
         stats[cell] = PointStats(weighted=weighted, per_user=per_user)
@@ -331,7 +300,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                 user_rates=ps.per_user.mean(axis=0),
                 weighted_sum_rate=ps.mean,
                 std_error=ps.std_error,
-                wall_time=elapsed,
                 trials_used=ps.weighted.size,
                 failures=failures,
             ))

@@ -130,42 +130,6 @@ class PddParams:
 
 
 @dataclass
-class PddState:
-    """Iterate of the penalty solver: continuous block v, grid block u, dual lam."""
-
-    v: np.ndarray
-    u: np.ndarray
-    lam: np.ndarray
-    rho: float
-    al_objective: float = np.nan
-
-
-def pdd_v_step(state: PddState, qf: QuadraticForm) -> np.ndarray:
-    """Minimize the linearized augmented Lagrangian over the ball ||v||^2 <= N.
-
-    With the quadratic part linearized at the current v, the minimizer is
-    c = u - rho*lam + 2*rho*(Phi v + b), projected onto the ball.
-    """
-    n = state.v.shape[0]
-    c = state.u - state.rho * state.lam + 2.0 * state.rho * (qf.phi @ state.v + qf.b)
-    nrm2 = float(np.real(np.vdot(c, c)))
-    if nrm2 <= n:
-        return c
-    return c / np.sqrt(nrm2 / n)
-
-
-def pdd_u_step(state: PddState, levels: int) -> np.ndarray:
-    """Per-element minimizer of ||v - u + rho*lam||^2 over the phase grid."""
-    target = state.v + state.rho * state.lam
-    return quantize_phases(np.angle(target), levels)
-
-
-def _al_value(qf: QuadraticForm, v: np.ndarray, u: np.ndarray, lam: np.ndarray, rho: float) -> float:
-    resid = v - u + rho * lam
-    return -qf.quadratic(v) + float(np.real(np.vdot(resid, resid))) / (2.0 * rho)
-
-
-@dataclass
 class PddResult:
     config: PhaseConfig
     objective: float
@@ -218,6 +182,8 @@ def pdd_solve(
         al_prev = (-float(np.real(np.vdot(v, phi_v)) + 2.0 * np.real(np.vdot(v, b)))
                    + float(np.real(np.vdot(resid, resid))) / (2.0 * rho))
         for inner in range(1, params.max_inner + 1):
+            # v: minimizer of the linearized augmented Lagrangian over ||v||^2 <= N;
+            # u: per-element nearest grid point to v + rho*lam
             c = u - rho * lam + 2.0 * rho * (phi_v + b)
             nrm2 = float(np.real(np.vdot(c, c)))
             v = c if nrm2 <= n else c / np.sqrt(nrm2 / n)
@@ -313,10 +279,12 @@ def pdd_solve_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the penalty solver on many independent quadratic forms at once.
 
-    `phis` is (S, N, N), `bs` is (S, N). Each slot follows the iterate sequence
-    it would under `pdd_solve`; slots that hit a stopping rule drop out of the
-    working set so slow slots do not cost full-batch compute. Returns
-    (u, objectives, converged) with shapes (S, N), (S,), (S,).
+    `phis` is (S, N, N), `bs` is (S, N). Each slot follows `pdd_solve`'s
+    iterates up to rounding (batched and single-problem linear algebra round
+    differently, so objectives agree to a few ulps, not bit for bit); slots
+    that hit a stopping rule drop out of the working set so slow slots do not
+    cost full-batch compute. Returns (u, objectives, converged) with shapes
+    (S, N), (S,), (S,).
     """
     phis = np.asarray(phis, dtype=complex)
     bs = np.asarray(bs, dtype=complex)

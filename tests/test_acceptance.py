@@ -175,12 +175,11 @@ def test_criterion_06_distance_trend_ordering():
     t0 = time.time()
     scen = default_single_user_scenario(distance=50.0)
     spec_tts = ExperimentSpec(scenario=scen, schemes=("tts-pdd",), q_bits=(1, 2, 3),
-                              slots=200, trials=200, weights=[1.0], seed=SEED_TREND,
-                              threads=2)
+                              slots=200, trials=200, weights=[1.0], seed=SEED_TREND)
     spec_rest = ExperimentSpec(scenario=scen,
                                schemes=("icsi-per-slot", "random-phase", "no-irs"),
                                q_bits=(0,), slots=200, trials=200, weights=[1.0],
-                               seed=SEED_TREND, threads=2)
+                               seed=SEED_TREND)
     stats = {}
     for sp in (spec_tts, spec_rest):
         out, failures = simulate_point(scen, sp)
@@ -212,12 +211,12 @@ def test_criterion_07_rician_factor_trend():
     for beta_db in betas:
         scen = apply_sweep(base, "rician_beta", beta_db)
         sp = ExperimentSpec(scenario=scen, schemes=("tts-pdd",), q_bits=(0,),
-                            slots=50, trials=200, weights=[1.0], seed=707, threads=2)
+                            slots=50, trials=200, weights=[1.0], seed=707)
         out, _ = simulate_point(scen, sp)
         tts[beta_db] = out[("tts-pdd", 0)].weighted
         if beta_db in (0.0, 20.0):
             sp2 = ExperimentSpec(scenario=scen, schemes=("icsi-per-slot",), q_bits=(0,),
-                                 slots=50, trials=200, weights=[1.0], seed=707, threads=2)
+                                 slots=50, trials=200, weights=[1.0], seed=707)
             out2, _ = simulate_point(scen, sp2)
             icsi[beta_db] = out2[("icsi-per-slot", 0)].weighted
     increments = []

@@ -269,6 +269,26 @@ class TestPhaseConfig:
         assert out[0] == pytest.approx(1.0 + 0.0j)
 
 
+class TestQuantizePhases:
+    # the grid step of the penalty solver: u = quantize_phases(angle(v + rho*lam))
+
+    def test_fixed_point(self):
+        v = np.exp(2j * np.pi * np.array([0, 1, 3]) / 4)
+        assert np.allclose(quantize_phases(np.angle(v), 4), v)
+
+    def test_nearest_level(self):
+        assert quantize_phases(np.array([0.1]), 2)[0] == pytest.approx(1.0 + 0j)
+
+    def test_minimizes_over_grid(self, rng):
+        n, levels = 6, 4
+        target = cscg(rng, (n,))
+        u = quantize_phases(np.angle(target), levels)
+        grid = np.exp(2j * np.pi * np.arange(levels) / levels)
+        for i in range(n):
+            dists = np.abs(target[i] - grid) ** 2
+            assert np.abs(target[i] - u[i]) ** 2 <= dists.min() + 1e-12
+
+
 class TestSecondMomentConsistency:
     def test_monte_carlo_matches_analytic_expansion(self):
         # cross-module: sampled ||h_eff||^2 agrees with the closed quadratic form

@@ -104,12 +104,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
-    def test_env_overrides(self, tiny_config, monkeypatch):
+    def test_env_overrides(self, tiny_config, tmp_path, monkeypatch):
+        # TTSBEAM_SEED is a CLI override: the loader keeps the file's seed and
+        # `run` behaves as if --seed had been given
         monkeypatch.setenv("TTSBEAM_SEED", "999")
-        monkeypatch.setenv("TTSBEAM_THREADS", "2")
-        spec = load_config(tiny_config)
-        assert spec.seed == 999
-        assert spec.threads == 2
+        assert load_config(tiny_config).seed == 123
+        env, flag = tmp_path / "env.csv", tmp_path / "flag.csv"
+        assert cli_main(["--quiet", "run", "--config", tiny_config, "--out", str(env)]) == 0
+        monkeypatch.delenv("TTSBEAM_SEED")
+        assert cli_main(["--quiet", "--seed", "999", "run", "--config", tiny_config,
+                         "--out", str(flag)]) == 0
+        assert env.read_bytes() == flag.read_bytes()
 
     def test_shipped_configs_parse(self):
         configs = Path(__file__).parent.parent / "configs"
@@ -185,6 +190,18 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,rho_t,gamma_t,sum_r_hat,v_change_inf_norm"
+
+    def test_bad_env_seed_is_config_error(self, tiny_config, monkeypatch, capsys):
+        monkeypatch.setenv("TTSBEAM_SEED", "abc")
+        assert cli_main(["--quiet", "validate", "--config", tiny_config]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_validate_honours_seed_flag(self, tiny_config, capsys):
+        lines = []
+        for seed in ("1", "2"):
+            cli_main(["--quiet", "--seed", seed, "validate", "--config", tiny_config])
+            lines.append([ln for ln in capsys.readouterr().out.splitlines() if "mc=" in ln])
+        assert lines[0] and lines[0] != lines[1]
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "ttsbeam.cli", "--help"],

@@ -3,16 +3,27 @@ import pytest
 
 from ttsbeam import (
     ExperimentSpec,
+    PddParams,
+    SscaParams,
     SweepSpec,
     apply_sweep,
+    build_quadratic_form,
     build_scsi,
+    effective_channel,
+    effective_channels,
     emit_csv,
+    instantaneous_rates,
+    levels_for_bits,
     mrt_rate,
+    pdd_solve,
+    random_phase,
     run_experiment,
     sample_instantaneous,
     simulate_point,
     substream,
+    wmmse_solve,
 )
+from ttsbeam.config import SCHEME_TAGS
 from ttsbeam.harness import ExperimentError, ResultRecord
 import ttsbeam.harness as harness
 
@@ -81,14 +92,6 @@ class TestRunExperiment:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_thread_count_does_not_change_results(self):
-        scen = small_scenario(n_shape=(2, 2), m=2)
-        base = quick_spec(scen, schemes=("random-phase", "no-irs"), slots=2, trials=6, seed=3)
-        stats1, _ = simulate_point(scen, base, threads=1)
-        stats8, _ = simulate_point(scen, base, threads=8)
-        for cell in stats1:
-            assert np.array_equal(stats1[cell].weighted, stats8[cell].weighted)
-
     def test_multiuser_schemes_run(self):
         scen = small_scenario(users=2, n_shape=(2, 2), m=2)
         spec = quick_spec(scen, schemes=("random-phase", "no-irs", "icsi-per-slot"),
@@ -138,6 +141,69 @@ class TestRunExperiment:
             run_experiment(spec)
 
 
+def _slots(scen, seed, trial, slots):
+    scsi = build_scsi(scen, substream(seed, "scsi", trial))
+    return scsi, [sample_instantaneous(scsi, substream(seed, "samples", trial, s))
+                  for s in range(slots)]
+
+
+class TestSchemeTable:
+    def test_one_entry_per_tag(self):
+        assert set(harness.SCHEMES) == set(SCHEME_TAGS)
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_every_tag_runs(self, users):
+        scen = small_scenario(users=users, n_shape=(2, 2), m=2)
+        for tag in SCHEME_TAGS:
+            spec = quick_spec(scen, schemes=(tag,), q_bits=(1,), slots=2, trials=1,
+                              ssca=SscaParams(max_iters=3))
+            if tag == "tts-pdd" and users > 1:
+                with pytest.raises(ExperimentError):
+                    harness._run_trial(scen, spec, 0)
+                continue
+            (rates,) = harness._run_trial(scen, spec, 0).values()
+            assert rates.shape == (users,), tag
+            assert np.all(np.isfinite(rates)) and np.all(rates >= 0) and rates.sum() > 0, tag
+
+    def test_single_user_matches_per_slot_mrt(self):
+        scen = small_scenario(n_shape=(2, 3), m=3)
+        seed, trial, slots = 31, 1, 5
+        spec = quick_spec(scen, schemes=("random-phase", "tts-pdd"), q_bits=(1, 2),
+                          slots=slots, trials=2, seed=seed)
+        out = harness._run_trial(scen, spec, trial)
+        scsi, chs = _slots(scen, seed, trial, slots)
+        p, noise = scen.transmit_power, float(scen.noise_powers[0])
+        for q in (1, 2):
+            levels = levels_for_bits(q)
+            v_tts = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config.v
+            phases = {
+                "tts-pdd": [v_tts] * slots,
+                "random-phase": [random_phase(levels, scen.num_elements,
+                                              substream(seed, "phase", trial, s, q)).v
+                                 for s in range(slots)],
+            }
+            for tag, vs in phases.items():
+                expected = np.mean([mrt_rate(effective_channel(v, ch, 0), p, noise)
+                                    for v, ch in zip(vs, chs)])
+                assert out[(tag, q)][0] == pytest.approx(expected, rel=1e-12)
+
+    def test_multi_user_random_phase_matches_per_slot_wmmse(self):
+        scen = small_scenario(users=2, n_shape=(2, 3), m=3)
+        seed, trial, slots = 37, 0, 4
+        spec = quick_spec(scen, schemes=("random-phase",), q_bits=(2,), slots=slots,
+                          trials=1, seed=seed)
+        out = harness._run_trial(scen, spec, trial)
+        _, chs = _slots(scen, seed, trial, slots)
+        noise = scen.noise_powers
+        per_slot = []
+        for s, ch in enumerate(chs):
+            v = random_phase(4, scen.num_elements, substream(seed, "phase", trial, s, 2)).v
+            state = wmmse_solve(effective_channels(v, ch), spec.weights, scen.transmit_power, noise)
+            per_slot.append(instantaneous_rates(v, state.w, ch, noise)[0])
+        np.testing.assert_allclose(out[("random-phase", 2)], np.mean(per_slot, axis=0),
+                                   rtol=1e-12)
+
+
 class TestEmitCsv:
     def test_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -149,7 +215,7 @@ class TestEmitCsv:
     def test_roundtrip_single_record(self, tmp_path):
         rec = ResultRecord(sweep_value=50.0, scheme="no-irs", q_bits=0,
                            user_rates=np.array([1.234567]), weighted_sum_rate=1.234567,
-                           std_error=0.01, wall_time=0.5, trials_used=10, failures=0)
+                           std_error=0.01, trials_used=10, failures=0)
         path = tmp_path / "one.csv"
         emit_csv([rec], str(path))
         lines = path.read_text().splitlines()
@@ -161,7 +227,7 @@ class TestEmitCsv:
     def test_six_significant_digits(self, tmp_path):
         rec = ResultRecord(sweep_value=None, scheme="no-irs", q_bits=0,
                            user_rates=np.array([np.pi]), weighted_sum_rate=np.pi,
-                           std_error=np.pi * 1e-4, wall_time=0.0, trials_used=1, failures=0)
+                           std_error=np.pi * 1e-4, trials_used=1, failures=0)
         path = tmp_path / "digits.csv"
         emit_csv([rec], str(path))
         assert "3.14159" in path.read_text()
@@ -171,8 +237,7 @@ class TestEmitCsv:
         records = [
             ResultRecord(sweep_value=float(i % 7), scheme="random-phase", q_bits=i % 3,
                          user_rates=rng.uniform(0, 5, 2), weighted_sum_rate=float(rng.uniform(0, 10)),
-                         std_error=float(rng.uniform(0, 0.1)), wall_time=float(rng.uniform(0, 1)),
-                         trials_used=200, failures=0)
+                         std_error=float(rng.uniform(0, 0.1)), trials_used=200, failures=0)
             for i in range(1000)
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,7 +3,6 @@ import pytest
 
 from ttsbeam import (
     PddParams,
-    PddState,
     QuadraticForm,
     bcd_solve,
     brute_force_solve,
@@ -14,8 +13,6 @@ from ttsbeam import (
     mrt_precoder,
     mrt_rate,
     pdd_solve,
-    pdd_u_step,
-    pdd_v_step,
     rate_upper_bound,
     sample_batch,
     substream,
@@ -134,71 +131,6 @@ class TestMrt:
             w *= np.sqrt(p) / np.linalg.norm(w)
             rate = np.log2(1 + np.abs(h.conj() @ w) ** 2 / sig)
             assert rate_opt >= rate - 1e-12
-
-
-def _pgd_oracle(state, qf, steps=4000):
-    """Slow projected-gradient minimizer of the linearized ball subproblem."""
-    n = state.v.shape[0]
-    a = state.u - state.rho * state.lam
-    g = qf.phi @ state.v + qf.b
-    x = np.zeros(n, dtype=complex)
-    lr = 0.4 * state.rho
-    for _ in range(steps):
-        grad = (x - a) / state.rho - 2.0 * g
-        x = x - lr * grad
-        nrm = np.linalg.norm(x)
-        if nrm ** 2 > n:
-            x *= np.sqrt(n) / nrm
-    return x
-
-
-class TestPddSteps:
-    def test_v_step_pure_penalty(self, rng):
-        n = 4
-        qf = QuadraticForm(phi=np.zeros((n, n)), b=np.zeros(n), const_term=0.0)
-        u = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        state = PddState(v=np.ones(n, complex), u=u, lam=np.zeros(n, complex), rho=0.7)
-        assert np.allclose(pdd_v_step(state, qf), u)
-
-    def test_v_step_ball_projection(self):
-        n = 4
-        qf = QuadraticForm(phi=np.zeros((n, n)), b=np.zeros(n), const_term=0.0)
-        state = PddState(v=np.ones(n, complex), u=2.0 * np.ones(n, complex),
-                         lam=np.zeros(n, complex), rho=1.0)
-        out = pdd_v_step(state, qf)
-        assert np.linalg.norm(out) ** 2 == pytest.approx(n)
-
-    def test_v_step_matches_projected_gradient_oracle(self, rng):
-        n = 5
-        qf = random_psd_qf(n, 42)
-        state = PddState(v=np.exp(1j * rng.uniform(0, 2 * np.pi, n)),
-                         u=np.exp(1j * rng.uniform(0, 2 * np.pi, n)),
-                         lam=cscg(rng, (n,)), rho=0.3)
-        fast = pdd_v_step(state, qf)
-        slow = _pgd_oracle(state, qf)
-        assert np.max(np.abs(fast - slow)) < 1e-6
-
-    def test_u_step_fixed_point(self):
-        n = 3
-        v = np.exp(2j * np.pi * np.array([0, 1, 3]) / 4)
-        state = PddState(v=v, u=v.copy(), lam=np.zeros(n, complex), rho=0.5)
-        assert np.allclose(pdd_u_step(state, 4), v)
-
-    def test_u_step_nearest_level(self):
-        state = PddState(v=np.array([np.exp(0.1j)]), u=np.ones(1, complex),
-                         lam=np.zeros(1, complex), rho=1.0)
-        assert pdd_u_step(state, 2)[0] == pytest.approx(1.0 + 0j)
-
-    def test_u_step_minimizes_over_grid(self, rng):
-        n, levels = 6, 4
-        state = PddState(v=cscg(rng, (n,)), u=np.ones(n, complex),
-                         lam=cscg(rng, (n,)), rho=0.4)
-        u = pdd_u_step(state, levels)
-        target = state.v + state.rho * state.lam
-        grid = np.exp(2j * np.pi * np.arange(levels) / levels)
-        for i in range(n):
-            dists = np.abs(target[i] - grid) ** 2
-            assert np.abs(target[i] - u[i]) ** 2 <= dists.min() + 1e-12
 
 
 class TestPddSolve:
