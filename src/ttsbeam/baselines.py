@@ -5,7 +5,7 @@ instantaneous-CSI optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,15 +17,20 @@ from .channel import (
     effective_channels,
     grid_angles,
 )
-from .multi_user import SscaParams, instantaneous_rates, ssca_run, wmmse_solve
+from .multi_user import SscaParams, precoders, slot_rates, ssca_run, wmmse_solve
 from .single_user import (
     PddParams,
     QuadraticForm,
     bcd_solve,
     build_quadratic_form,
-    mrt_rate,
     pdd_solve,
 )
+
+# per-slot instantaneous designs re-solve a full problem 200+ times per trial;
+# the faster penalty schedule is inside the range the solver tolerates without
+# measurable quality loss and keeps sweep runtimes practical
+ICSI_PDD = PddParams(c=0.8, max_inner=30)
+
 
 def random_phase(levels: int, n: int, rng: np.random.Generator) -> PhaseConfig:
     """Unit-amplitude reflection vector with phases drawn uniformly.
@@ -44,22 +49,27 @@ def no_irs_rate(
     ch: InstantaneousChannels, weights_alpha: np.ndarray, power: float, noise: np.ndarray
 ) -> np.ndarray:
     """Per-user rates with the surface absent: direct channels only."""
-    if ch.num_users == 1:
-        return np.array([mrt_rate(ch.h_d[0], power, float(np.atleast_1d(noise)[0]))])
-    state = wmmse_solve(ch.h_d, weights_alpha, power, noise)
-    rates, _ = instantaneous_rates(np.zeros(ch.h_r.shape[1]), state.w, ch, noise)
-    return rates
+    return slot_rates(ch.h_d, precoders(ch.h_d, weights_alpha, power, noise), noise)[0]
+
+
+def slot_quadratic_forms(
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, b) of ||h_eff(v)||^2 = v^H Phi v + 2 Re{v^H b} + ||h_d||^2 per slot.
+
+    Phi = diag(h_r^H) G G^H diag(h_r), b = diag(h_r^H) G h_d for one user's
+    links, stacked over leading axes: g (..., N, M), h_r (..., N), h_d (..., M).
+    """
+    d = h_r.conj()
+    gg = g @ np.swapaxes(g.conj(), -1, -2)
+    phi = d[..., :, None] * gg * h_r[..., None, :]
+    b = d * (g @ h_d[..., None])[..., 0]
+    return phi, b
 
 
 def instantaneous_quadratic_form(ch: InstantaneousChannels, k: int = 0) -> QuadraticForm:
-    """Single-slot analogue of the average-power form: ||h_eff(v)||^2 exactly.
-
-    Phi = diag(h_r^H) G G^H diag(h_r), b = diag(h_r^H) G h_d, const = ||h_d||^2.
-    """
-    d = ch.h_r[k].conj()
-    gg = ch.g @ ch.g.conj().T
-    phi = d[:, None] * gg * ch.h_r[k][None, :]
-    b = d * (ch.g @ ch.h_d[k])
+    """Single-slot analogue of the average-power form: ||h_eff(v)||^2 exactly."""
+    phi, b = slot_quadratic_forms(ch.g, ch.h_r[k], ch.h_d[k])
     const = float(np.real(np.vdot(ch.h_d[k], ch.h_d[k])))
     return QuadraticForm(phi=phi, b=b, const_term=const)
 
@@ -70,14 +80,12 @@ def naive_icsi(
     weights_alpha: np.ndarray,
     power: float,
     noise: np.ndarray,
-    pdd_params: PddParams | None = None,
 ) -> PhaseConfig:
     """Phases designed from the first slot's realization only, then frozen."""
     if first_slot.num_users == 1:
-        params = pdd_params or PddParams(levels=levels)
+        params = replace(ICSI_PDD, levels=levels)
         return pdd_solve(instantaneous_quadratic_form(first_slot), params).config
-    return icsi_per_slot(first_slot, levels, weights_alpha, power, noise,
-                         pdd_params=pdd_params).config
+    return icsi_per_slot(first_slot, levels, weights_alpha, power, noise).config
 
 
 def single_timescale(
@@ -86,7 +94,6 @@ def single_timescale(
     power: float,
     noise: np.ndarray,
     weights_alpha: np.ndarray | None = None,
-    pdd_params: PddParams | None = None,
     ssca_params: SscaParams | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[PhaseConfig, np.ndarray]:
@@ -99,20 +106,12 @@ def single_timescale(
     if weights_alpha is None:
         weights_alpha = np.ones(k)
     if k == 1:
-        config = pdd_solve(build_quadratic_form(scsi), pdd_params or PddParams(levels=levels)).config
+        config = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config
     else:
         config = ssca_run(scsi, power, noise, weights_alpha,
                           ssca_params or SscaParams(), levels=levels, rng=rng).config
     h_mean = scsi.mean_effective_channels(config.v)
-    if k == 1:
-        norm = np.linalg.norm(h_mean[0])
-        if norm == 0:
-            w = np.zeros_like(h_mean)
-        else:
-            w = np.sqrt(power) * h_mean / norm
-    else:
-        w = wmmse_solve(h_mean, weights_alpha, power, noise).w
-    return config, w
+    return config, precoders(h_mean, weights_alpha, power, noise)
 
 
 def _mse_quadratic_form(
@@ -153,7 +152,6 @@ def icsi_per_slot(
     noise: np.ndarray,
     max_rounds: int = 30,
     rel_tol: float = 1e-4,
-    pdd_params: PddParams | None = None,
 ) -> IcsiDesign:
     """Joint per-slot design from this slot's full realization.
 
@@ -163,12 +161,11 @@ def icsi_per_slot(
     """
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
     if ch.num_users == 1:
-        params = pdd_params or PddParams(levels=levels)
+        params = replace(ICSI_PDD, levels=levels)
         config = pdd_solve(instantaneous_quadratic_form(ch), params).config
         h = effective_channels(config.v, ch)
-        norm = np.linalg.norm(h[0])
-        w = np.zeros_like(h) if norm == 0 else np.sqrt(power) * h / norm
-        rate = float(np.log2(1.0 + power * norm ** 2 / noise[0]))
+        w = precoders(h, weights_alpha, power, noise)
+        rate = float(np.asarray(weights_alpha) @ slot_rates(h, w, noise)[0])
         return IcsiDesign(config=config, w=w, round_objectives=[rate])
 
     n = ch.h_r.shape[1]

@@ -371,41 +371,25 @@ class PhaseConfig:
     """IRS reflection vector (conjugated reflection coefficients) plus resolution.
 
     `levels == 0` encodes continuous phases; `levels >= 1` means phases lie on
-    the uniform grid with that many points. `amplitude` is "unit" for
-    unit-modulus entries or "relaxed" for magnitudes in [0, 1].
+    the uniform grid with that many points. Every entry has unit modulus.
     """
 
     v: np.ndarray
     levels: int = CONTINUOUS
-    amplitude: str = "unit"
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=complex).reshape(-1)
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
-        if self.amplitude not in ("unit", "relaxed"):
-            raise ValueError("amplitude must be 'unit' or 'relaxed'")
-        mags = np.abs(self.v)
-        if self.amplitude == "unit":
-            if not np.allclose(mags, 1.0, atol=1e-9):
-                raise ValueError("unit amplitude mode requires |v_n| = 1")
-            if self.levels >= 1:
-                angles = np.mod(np.angle(self.v), 2.0 * np.pi)
-                grid = grid_angles(self.levels)
-                dist = np.abs(angles[:, None] - grid[None, :])
-                dist = np.minimum(dist, 2.0 * np.pi - dist)
-                if dist.min(axis=1).max() > GRID_ANGLE_TOL:
-                    raise ValueError("phases are not on the declared grid")
-        elif np.any(mags > 1.0 + 1e-9):
-            raise ValueError("relaxed amplitude mode requires |v_n| <= 1")
-
-    @property
-    def bits(self) -> int | None:
-        """Bits per element, or None when the level count is not a power of two."""
-        if self.levels == CONTINUOUS:
-            return 0
-        q = int(round(np.log2(self.levels)))
-        return q if 2 ** q == self.levels else None
+        if not np.allclose(np.abs(self.v), 1.0, atol=1e-9):
+            raise ValueError("phase configurations require |v_n| = 1")
+        if self.levels >= 1:
+            angles = np.mod(np.angle(self.v), 2.0 * np.pi)
+            grid = grid_angles(self.levels)
+            dist = np.abs(angles[:, None] - grid[None, :])
+            dist = np.minimum(dist, 2.0 * np.pi - dist)
+            if dist.min(axis=1).max() > GRID_ANGLE_TOL:
+                raise ValueError("phases are not on the declared grid")
 
     @property
     def size(self) -> int:

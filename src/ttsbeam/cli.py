@@ -109,8 +109,7 @@ def _cmd_run(args) -> int:
     """`run`, and `sweep` with the config's sweep replaced by --var/--grid."""
     spec = _apply_overrides(load_config(args.config), args)
     if args.command == "sweep":
-        grid = tuple(float(x) for x in args.grid.split(","))
-        spec.sweep = SweepSpec(variable=args.var, grid=grid)
+        spec.sweep = SweepSpec(variable=args.var, grid=args.grid.split(","))
     records = run_experiment(spec)
     emit_csv(records, args.out)
     log.info("wrote %d records to %s", len(records), args.out)

@@ -7,7 +7,7 @@ in-memory objects only ever carry linear quantities.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -46,7 +46,10 @@ class SweepSpec:
         self.variable = SWEEP_ALIASES.get(self.variable, self.variable)
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"unknown sweep variable '{self.variable}'")
-        self.grid = tuple(float(x) for x in self.grid)
+        try:
+            self.grid = tuple(float(x) for x in self.grid)
+        except (TypeError, ValueError):
+            raise ConfigError(f"sweep grid must be a list of numbers, got {self.grid!r}") from None
         if not self.grid:
             raise ConfigError("sweep grid must be non-empty")
 
@@ -157,10 +160,36 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _section(raw, where: str, keys) -> dict:
+    """`raw` as a mapping that holds only keys the parser reads."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} section must be a mapping")
+    unknown = [k for k in raw if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in {where} section")
+    return raw
+
+
+_TOP_KEYS = ("seed", "scenario", "experiment")
+_SCENARIO_KEYS = ("ap_position", "ap_antennas", "irs_position", "irs_shape", "user_positions",
+                  "transmit_power_dbm", "transmit_power_watts", "noise_power_dbm",
+                  "noise_power_watts", "path_loss", "rician", "correlation")
+_PATH_LOSS_KEYS = ("c0_db", "c0", "d0_m", "alpha_au", "alpha_ai", "alpha_iu")
+_RICIAN_KEYS = tuple(f"{b}{u}" for b in ("beta_au", "beta_ai", "beta_iu") for u in ("", "_db"))
+_CORRELATION_KEYS = ("r_d", "r_r", "r_rk")
+# `threads` is accepted and ignored: trials run in one thread, and older
+# configs still carry the setting
+_EXPERIMENT_KEYS = ("schemes", "q_bits", "slots", "trials", "weights", "sweep", "ssca",
+                    "threads")
+_SWEEP_KEYS = ("variable", "grid")
+
+
 def scenario_from_mapping(raw: dict) -> Scenario:
-    pl_raw = _require(raw, "path_loss", "scenario")
-    rician_raw = _require(raw, "rician", "scenario")
-    corr_raw = _require(raw, "correlation", "scenario")
+    raw = _section(raw, "scenario", _SCENARIO_KEYS)
+    pl_raw = _section(_require(raw, "path_loss", "scenario"), "path_loss", _PATH_LOSS_KEYS)
+    rician_raw = _section(_require(raw, "rician", "scenario"), "rician", _RICIAN_KEYS)
+    corr_raw = _section(_require(raw, "correlation", "scenario"), "correlation",
+                        _CORRELATION_KEYS)
     try:
         noise = raw.get("noise_power_dbm", None)
         if noise is not None:
@@ -215,23 +244,19 @@ def scenario_from_mapping(raw: dict) -> Scenario:
 
 
 def spec_from_mapping(raw: dict) -> ExperimentSpec:
+    raw = _section(raw, "top-level", _TOP_KEYS)
     scenario = scenario_from_mapping(_require(raw, "scenario", "top-level"))
-    exp = raw.get("experiment", {})
+    exp = _section(raw.get("experiment", {}), "experiment", _EXPERIMENT_KEYS)
     sweep = None
-    if "sweep" in exp and exp["sweep"]:
-        sweep = SweepSpec(variable=str(exp["sweep"]["variable"]),
-                          grid=exp["sweep"]["grid"])
-    ssca_raw = exp.get("ssca", {})
+    if exp.get("sweep"):
+        sweep_raw = _section(exp["sweep"], "sweep", _SWEEP_KEYS)
+        sweep = SweepSpec(variable=str(_require(sweep_raw, "variable", "sweep")),
+                          grid=_require(sweep_raw, "grid", "sweep"))
+    defaults = SscaParams()
+    ssca_raw = _section(exp.get("ssca", {}), "ssca", [f.name for f in fields(SscaParams)])
     try:
-        ssca = SscaParams(
-            samples_per_iter=int(ssca_raw.get("samples_per_iter", 10)),
-            tau=float(ssca_raw.get("tau", 0.01)),
-            rho_exponent=float(ssca_raw.get("rho_exponent", 0.8)),
-            gamma_exponent=float(ssca_raw.get("gamma_exponent", 1.0)),
-            max_iters=int(ssca_raw.get("max_iters", 2000)),
-            tol=float(ssca_raw.get("tol", 1e-4)),
-            patience=int(ssca_raw.get("patience", 20)),
-        )
+        # each value is cast to the type of its dataclass default (int or float)
+        ssca = SscaParams(**{k: type(getattr(defaults, k))(x) for k, x in ssca_raw.items()})
         return ExperimentSpec(
             scenario=scenario,
             schemes=tuple(exp.get("schemes", ("tts-pdd",))),

@@ -16,15 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from . import baselines
-from .channel import (
-    InstantaneousChannels,
-    Scenario,
-    build_scsi,
-    effective_channels,
-    sample_batch,
-)
-from .config import ExperimentSpec, db_to_linear, dbm_to_watts, levels_for_bits
-from .multi_user import instantaneous_rates, ssca_run, wmmse_solve
+from .channel import InstantaneousChannels, Scenario, build_scsi, sample_batch
+from .config import ConfigError, ExperimentSpec, db_to_linear, dbm_to_watts, levels_for_bits
+from .multi_user import precoders, slot_rates, ssca_run
+from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .rng import substream
 from .single_user import (
     PddParams,
@@ -82,21 +77,25 @@ def apply_sweep(scenario: Scenario, variable: str, value: float) -> Scenario:
 
     ap_user_distance moves every user to y = value (meters); rician_beta sets
     the two cascaded-link factors from a dB value; transmit_power takes dBm.
+    A value the scenario rejects raises ConfigError.
     """
-    if variable == "ap_user_distance":
-        positions = scenario.user_positions.copy()
-        positions[:, 1] = value
-        return replace(scenario, user_positions=positions)
-    if variable == "rician_beta":
-        lin = db_to_linear(value)
-        return replace(scenario, rician=replace(scenario.rician, beta_ai=lin, beta_iu=lin))
-    if variable == "r_r":
-        return replace(scenario, correlation=replace(scenario.correlation, r_r=float(value)))
-    if variable == "r_rk":
-        corr = replace(scenario.correlation, r_rk=(float(value),) * scenario.num_users)
-        return replace(scenario, correlation=corr)
-    if variable == "transmit_power":
-        return replace(scenario, transmit_power=dbm_to_watts(value))
+    try:
+        if variable == "ap_user_distance":
+            positions = scenario.user_positions.copy()
+            positions[:, 1] = value
+            return replace(scenario, user_positions=positions)
+        if variable == "rician_beta":
+            lin = db_to_linear(value)
+            return replace(scenario, rician=replace(scenario.rician, beta_ai=lin, beta_iu=lin))
+        if variable == "r_r":
+            return replace(scenario, correlation=replace(scenario.correlation, r_r=float(value)))
+        if variable == "r_rk":
+            corr = replace(scenario.correlation, r_rk=(float(value),) * scenario.num_users)
+            return replace(scenario, correlation=corr)
+        if variable == "transmit_power":
+            return replace(scenario, transmit_power=dbm_to_watts(value))
+    except ValueError as exc:
+        raise ConfigError(f"sweep {variable} = {value:g}: {exc}") from exc
     raise ExperimentError(f"unknown sweep variable '{variable}'")
 
 
@@ -108,13 +107,6 @@ def _scheme_cells(spec: ExperimentSpec) -> list[tuple[str, int]]:
         else:
             cells.extend((scheme, q) for q in spec.q_bits)
     return sorted(set(cells))
-
-
-# per-slot instantaneous designs re-solve a full problem 200+ times per trial;
-# the faster penalty schedule is inside the range the solver tolerates without
-# measurable quality loss and keeps sweep runtimes practical
-def _icsi_pdd_params(levels: int) -> PddParams:
-    return PddParams(levels=levels, c=0.8, max_inner=30)
 
 
 class _Trial:
@@ -143,37 +135,22 @@ class _Trial:
     def qf(self) -> QuadraticForm:
         return build_quadratic_form(self.scsi)
 
-    def su_channels(self, v: np.ndarray) -> np.ndarray:
-        """(S, M) single-user effective channels for v of shape (N,) or (S, N)."""
-        return np.einsum("sn,snm->sm", self.h_r[:, 0] * v, self.g.conj()) + self.h_d[:, 0]
+    def channels(self, v: np.ndarray) -> np.ndarray:
+        """(S, K, M) effective channels for v of shape (N,) or (S, N)."""
+        return (self.h_r * v[..., None, :]) @ self.g.conj() + self.h_d
 
 
 def _adaptive_precoders(t: _Trial, v: np.ndarray) -> np.ndarray:
     """(S, K) rates with the phases v held, (N,) shared or (S, N) per slot, and
-    the precoders re-optimized every slot: MRT for one user, WMMSE for more."""
-    if t.h_r.shape[1] == 1:
-        h = t.su_channels(v)
-        gains = np.einsum("sm,sm->s", h.conj(), h).real
-        return np.log2(1.0 + t.power * gains / float(t.noise[0]))[:, None]
-    rates = np.empty(t.h_d.shape[:2])
-    for s in range(len(rates)):
-        ch, vs = t.slot(s), v if v.ndim == 1 else v[s]
-        state = wmmse_solve(effective_channels(vs, ch), t.spec.weights, t.power, t.noise)
-        rates[s], _ = instantaneous_rates(vs, state.w, ch, t.noise)
-    return rates
+    the precoders re-designed every slot."""
+    h = t.channels(v)
+    return slot_rates(h, precoders(h, t.spec.weights, t.power, t.noise), t.noise)[0]
 
 
 def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(S, K) rates with the phases and the precoders both held; v is (N,) or
     (S, N), w is (K, M) or (S, K, M)."""
-    if t.h_r.shape[1] == 1 and w.ndim == 2:
-        sig = np.abs(t.su_channels(v).conj() @ w[0]) ** 2
-        return np.log2(1.0 + sig / float(t.noise[0]))[:, None]
-    return np.stack([
-        instantaneous_rates(v if v.ndim == 1 else v[s], w if w.ndim == 2 else w[s],
-                            t.slot(s), t.noise)[0]
-        for s in range(t.spec.slots)
-    ])
+    return slot_rates(t.channels(v), w, t.noise)[0]
 
 
 # Scheme entries: design on the slow timescale, then one of the two evaluators.
@@ -204,8 +181,7 @@ def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
-    cfg = baselines.naive_icsi(t.slot(0), levels, t.spec.weights, t.power, t.noise,
-                               pdd_params=_icsi_pdd_params(levels))
+    cfg = baselines.naive_icsi(t.slot(0), levels, t.spec.weights, t.power, t.noise)
     return _adaptive_precoders(t, cfg.v)
 
 
@@ -218,11 +194,8 @@ def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
 def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
     if t.h_r.shape[1] == 1:
         # every slot's ||h_eff(v)||^2 as a quadratic form, solved in one batch
-        h_r, h_d = t.h_r[:, 0], t.h_d[:, 0]
-        gg = t.g @ t.g.conj().transpose(0, 2, 1)
-        phis = h_r.conj()[:, :, None] * gg * h_r[:, None, :]
-        bs = h_r.conj() * np.einsum("snm,sm->sn", t.g, h_d)
-        u, _, _ = pdd_solve_batch(phis, bs, _icsi_pdd_params(levels))
+        phis, bs = baselines.slot_quadratic_forms(t.g, t.h_r[:, 0], t.h_d[:, 0])
+        u, _, _ = pdd_solve_batch(phis, bs, replace(baselines.ICSI_PDD, levels=levels))
         return _adaptive_precoders(t, u)
     designs = [baselines.icsi_per_slot(t.slot(s), levels, t.spec.weights, t.power, t.noise)
                for s in range(t.spec.slots)]
@@ -280,14 +253,13 @@ def simulate_point(
 def run_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
     """Full experiment: every sweep value x scheme x resolution cell."""
     records: list[ResultRecord] = []
-    sweep_values: list[float | None]
     if spec.sweep is None:
-        sweep_values = [None]
+        points = [(None, spec.scenario)]
     else:
-        sweep_values = list(spec.sweep.grid)
-    for value in sweep_values:
-        scenario = spec.scenario if value is None else apply_sweep(
-            spec.scenario, spec.sweep.variable, value)
+        # every swept scenario is built, and so checked, before the first point runs
+        points = [(value, apply_sweep(spec.scenario, spec.sweep.variable, value))
+                  for value in spec.sweep.grid]
+    for value, scenario in points:
         t0 = time.perf_counter()
         stats, failures = simulate_point(scenario, spec)
         elapsed = time.perf_counter() - t0

@@ -19,6 +19,7 @@ from .channel import (
     quantize_phases,
     sample_batch,
 )
+from .single_user import mrt_precoder
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -104,12 +105,17 @@ class WmmseState:
     iterations: int = 0
 
 
-def _weighted_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # c[k, j] = h_k^H w_j
-    c = h.conj() @ w.T
+def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user rates log2(1 + SINR_k) for effective channels h and precoders w.
+
+    h and w are (..., K, M) with the K precoders as rows; leading axes
+    broadcast, so one (K, M) precoder set can serve a stack of slots. Returns
+    the (..., K) rates and the cross gains c[..., k, j] = h_k^H w_j.
+    """
+    c = h.conj() @ np.swapaxes(w, -1, -2)
     powers = np.abs(c) ** 2
-    total = powers.sum(axis=1) + noise
-    own = np.diagonal(powers)
+    total = powers.sum(axis=-1) + noise
+    own = np.diagonal(powers, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(own > 0, own / (total - own), 0.0)
     return np.log2(1.0 + sinr), c
@@ -204,7 +210,7 @@ def wmmse_solve(
         active = norms > 0
         w[active] = h[active] / norms[active, None] * np.sqrt(power / max(active.sum(), 1))
 
-    rates, c = _weighted_rates(h, w, noise)
+    rates, c = slot_rates(h, w, noise)
     obj = float(weights_alpha @ rates)
     trace = [obj]
     u = np.zeros(k_users, dtype=complex)
@@ -222,7 +228,7 @@ def wmmse_solve(
         coef = mw * np.abs(u) ** 2
         scale = mw * u.conj()
         w, mu = _solve_power_split(h, coef, scale, power)
-        rates, c = _weighted_rates(h, w, noise)
+        rates, c = slot_rates(h, w, noise)
         new_obj = float(weights_alpha @ rates)
         trace.append(new_obj)
         if new_obj - obj <= tol * max(abs(obj), 1e-12):
@@ -231,6 +237,20 @@ def wmmse_solve(
         obj = new_obj
     return WmmseState(w=w, u_rx=u, mse=mse, weights=mw, mu=mu,
                       objective=obj, trace=trace, iterations=its)
+
+
+def precoders(h: np.ndarray, weights_alpha: np.ndarray, power: float, noise: np.ndarray) -> np.ndarray:
+    """Fast-timescale precoders for effective channels h (..., K, M), per item.
+
+    One user gets MRT; more users get WMMSE, solved item by item through the
+    module-level `wmmse_solve` so that wrapping that name sees every call.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.shape[-2] == 1:
+        return mrt_precoder(h, power)
+    items = h.reshape(-1, *h.shape[-2:])
+    w = [wmmse_solve(hi, weights_alpha, power, noise).w for hi in items]
+    return np.reshape(w, h.shape)
 
 
 # ---------------------------------------------------------------------------

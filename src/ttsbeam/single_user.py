@@ -29,7 +29,6 @@ class QuadraticForm:
     phi: np.ndarray                 # (N, N) complex Hermitian PSD
     b: np.ndarray                   # (N,) complex
     const_term: float               # v-independent part, >= 0
-    phi_d_eigs: np.ndarray | None = None
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
@@ -63,8 +62,7 @@ def build_quadratic_form(scsi: StatisticalCsi) -> QuadraticForm:
     s_ai2 = scsi.s_ai ** 2
     s_iu2 = float(scsi.s_iu[0] ** 2)
     s_au2 = float(scsi.s_au[0] ** 2)
-    phi_d_eigs = np.linalg.eigvalsh(scsi.phi_d)
-    lam_sum = float(phi_d_eigs.sum())
+    lam_sum = float(np.linalg.eigvalsh(scsi.phi_d).sum())
     phi_ru = scsi.phi_rk[0]
 
     ff = fbar @ fbar.conj().T
@@ -77,7 +75,7 @@ def build_quadratic_form(scsi: StatisticalCsi) -> QuadraticForm:
     )
     b = zr.conj() * (fbar @ zd)
     const = float(np.real(zd.conj() @ zd)) + s_au2 * float(np.trace(scsi.phi_d))
-    return QuadraticForm(phi=phi, b=b, const_term=const, phi_d_eigs=phi_d_eigs)
+    return QuadraticForm(phi=phi, b=b, const_term=const)
 
 
 def rate_upper_bound(qf: QuadraticForm, v, power: float, noise: float) -> float:
@@ -89,13 +87,12 @@ def rate_upper_bound(qf: QuadraticForm, v, power: float, noise: float) -> float:
 
 
 def mrt_precoder(h_eff: np.ndarray, power: float) -> np.ndarray:
-    """Maximum-ratio transmission: sqrt(P) * h / ||h||."""
-    h_eff = np.asarray(h_eff, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(h_eff)
-    if norm == 0.0:
+    """Maximum-ratio transmission sqrt(P) * h / ||h|| along the last axis."""
+    h_eff = np.asarray(h_eff, dtype=complex)
+    norm = np.linalg.norm(h_eff, axis=-1, keepdims=True)
+    if not norm.all():
         warnings.warn("zero effective channel: returning zero precoder")
-        return np.zeros_like(h_eff)
-    return np.sqrt(power) * h_eff / norm
+    return np.sqrt(power) * h_eff / np.where(norm == 0.0, np.inf, norm)
 
 
 def mrt_rate(h_eff: np.ndarray, power: float, noise: float) -> float:
@@ -151,7 +148,6 @@ def default_rho0(qf: QuadraticForm) -> float:
 def pdd_solve(
     qf: QuadraticForm,
     params: PddParams,
-    v0: np.ndarray | None = None,
     record_trace: bool = False,
 ) -> PddResult:
     """Double-loop penalty solver for the grid-constrained quadratic maximization.
@@ -165,7 +161,7 @@ def pdd_solve(
     """
     n = qf.size
     phi, b = qf.phi, qf.b
-    v = np.ones(n, dtype=complex) if v0 is None else np.asarray(v0, dtype=complex).copy()
+    v = np.ones(n, dtype=complex)
     u = quantize_phases(np.angle(v), params.levels)
     lam = np.zeros(n, dtype=complex)
     rho = params.rho0 if params.rho0 is not None else default_rho0(qf)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ttsbeam import (
-    PddParams,
     build_scsi,
     effective_channels,
     icsi_per_slot,
@@ -66,6 +65,14 @@ class TestNoIrs:
                                    h_d=cscg(rng, (1, 2)))
         rates = no_irs_rate(ch, np.ones(1), 2.0, np.array([0.4]))
         assert rates[0] == pytest.approx(mrt_rate(ch.h_d[0], 2.0, 0.4))
+
+    def test_multi_user_matches_wmmse_at_zero_phases(self, rng):
+        ch = InstantaneousChannels(g=cscg(rng, (3, 2)), h_r=cscg(rng, (2, 3)),
+                                   h_d=cscg(rng, (2, 2)))
+        alpha, p, noise = np.array([1.0, 2.0]), 1.5, np.array([0.1, 0.3])
+        state = wmmse_solve(ch.h_d, alpha, p, noise)
+        expected, _ = instantaneous_rates(np.zeros(3), state.w, ch, noise)
+        np.testing.assert_allclose(no_irs_rate(ch, alpha, p, noise), expected, rtol=1e-12)
 
     def test_dominated_by_per_slot_design(self):
         # extra reflection freedom can only help
@@ -197,9 +204,8 @@ class TestIcsiPerSlot:
         scsi = build_scsi(scen, substream(46, "s"))
         p, noise = scen.transmit_power, scen.noise_powers
         ch = sample_instantaneous(scsi, substream(46, "slot"))
-        params = PddParams(levels=2)
-        a = naive_icsi(ch, 2, np.ones(1), p, noise, pdd_params=params)
-        b = icsi_per_slot(ch, 2, np.ones(1), p, noise, pdd_params=params)
+        a = naive_icsi(ch, 2, np.ones(1), p, noise)
+        b = icsi_per_slot(ch, 2, np.ones(1), p, noise)
         assert np.array_equal(a.v, b.config.v)
 
     def test_rounds_monotone(self):

@@ -254,14 +254,6 @@ class TestPhaseConfig:
             PhaseConfig(np.exp(1j * np.array([0.3])), levels=2)
         PhaseConfig(np.exp(1j * np.array([0.0, np.pi])), levels=2)
 
-    def test_relaxed_allows_interior(self):
-        cfg = PhaseConfig(np.array([0.5 + 0j, 0.1j]), levels=0, amplitude="relaxed")
-        assert cfg.size == 2
-
-    def test_bits_roundtrip(self):
-        assert PhaseConfig(np.ones(2, dtype=complex), levels=8).bits == 3
-        assert PhaseConfig(np.ones(2, dtype=complex), levels=0).bits == 0
-
     def test_quantize_tie_prefers_lowest_index(self):
         # exactly halfway between grid points 0 and 1 for L = 4
         theta = np.array([np.pi / 4])

@@ -116,6 +116,22 @@ class TestLoadConfig:
                          "--out", str(flag)]) == 0
         assert env.read_bytes() == flag.read_bytes()
 
+    @pytest.mark.parametrize("old, new, key, section", [
+        ("beta_iu_db: 3.0}", "beta_iu_db: 3.0, beta_ui_db: 1.0}", "beta_ui_db", "rician"),
+        ("seed: 123", "sead: 123", "sead", "top-level"),
+        ("  trials: 2", "  trials: 2\n  ssca: {max_iter: 8}", "max_iter", "ssca"),
+    ], ids=["rician", "top-level", "ssca"])
+    def test_unknown_key_is_named(self, tmp_path, old, new, key, section):
+        path = tmp_path / "typo.yaml"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=f"'{key}' in {section} section"):
+            load_config(str(path))
+
+    def test_threads_setting_is_accepted(self, tmp_path):
+        path = tmp_path / "threads.yaml"
+        path.write_text(TINY_CONFIG + "  threads: 1\n")
+        assert load_config(str(path)).slots == 2
+
     def test_shipped_configs_parse(self):
         configs = Path(__file__).parent.parent / "configs"
         su = load_config(str(configs / "single_user.yaml"))
@@ -148,6 +164,35 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5  # header + 2 cells x 2 sweep points
+
+    def test_unknown_key_exits_one(self, tmp_path, capsys):
+        cfg, out = tmp_path / "typo.yaml", tmp_path / "out.csv"
+        cfg.write_text(TINY_CONFIG.replace("  slots: 2", "  slotz: 5"))
+        assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown key 'slotz' in experiment section" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_grid_exits_one(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli_main(["--quiet", "sweep", "--config", tiny_config, "--out", str(out),
+                         "--var", "d", "--grid", "40,abc"])
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_sweep_value_fails_before_any_point(self, tiny_config, tmp_path,
+                                                            capsys, monkeypatch):
+        import ttsbeam.harness as harness
+        points = []
+        simulate = harness.simulate_point
+        monkeypatch.setattr(harness, "simulate_point",
+                            lambda *a: points.append(a) or simulate(*a))
+        out = tmp_path / "sweep.csv"
+        code = cli_main(["--quiet", "sweep", "--config", tiny_config, "--out", str(out),
+                         "--var", "r_r", "--grid", "0.5,1.5"])
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert points == [] and not out.exists()
 
     def test_missing_config_exits_one(self, tmp_path):
         code = cli_main(["--quiet", "run", "--config", str(tmp_path / "none.yaml"),

@@ -12,6 +12,7 @@ from ttsbeam import (
     effective_channel,
     effective_channels,
     emit_csv,
+    icsi_per_slot,
     instantaneous_rates,
     levels_for_bits,
     mrt_rate,
@@ -20,6 +21,7 @@ from ttsbeam import (
     run_experiment,
     sample_instantaneous,
     simulate_point,
+    single_timescale,
     substream,
     wmmse_solve,
 )
@@ -202,6 +204,27 @@ class TestSchemeTable:
             per_slot.append(instantaneous_rates(v, state.w, ch, noise)[0])
         np.testing.assert_allclose(out[("random-phase", 2)], np.mean(per_slot, axis=0),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("users", [1, 2])
+    @pytest.mark.parametrize("tag", ["single-timescale", "icsi-per-slot"])
+    def test_designed_precoder_cells_match_per_slot_rates(self, tag, users):
+        scen = small_scenario(users=users, n_shape=(2, 3), m=3)
+        seed, trial, slots, q = 41, 0, 4, 1
+        spec = quick_spec(scen, schemes=(tag,), q_bits=(q,), slots=slots, trials=1,
+                          seed=seed, ssca=SscaParams(max_iters=5))
+        out = harness._run_trial(scen, spec, trial)[(tag, q)]
+        scsi, chs = _slots(scen, seed, trial, slots)
+        p, noise, levels = scen.transmit_power, scen.noise_powers, levels_for_bits(q)
+        if tag == "single-timescale":
+            cfg, w = single_timescale(scsi, levels, p, noise, spec.weights, ssca_params=spec.ssca,
+                                      rng=substream(seed, "ssca", trial, q, "st"))
+            designs = [(cfg.v, w)] * slots
+        else:
+            designs = [(d.config.v, d.w) for d in
+                       (icsi_per_slot(ch, levels, spec.weights, p, noise) for ch in chs)]
+        expected = np.mean([instantaneous_rates(v, w, ch, noise)[0]
+                            for (v, w), ch in zip(designs, chs)], axis=0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 class TestEmitCsv:

@@ -8,6 +8,7 @@ from ttsbeam import (
     build_scsi,
     effective_channels,
     instantaneous_rates,
+    mrt_precoder,
     mrt_rate,
     project_discrete,
     rate_jacobian,
@@ -19,6 +20,7 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
+from ttsbeam.multi_user import precoders
 
 from conftest import cscg, small_scenario
 
@@ -57,6 +59,23 @@ class TestInstantaneousRates:
             assert rates[k] == pytest.approx(np.log2(1 + num / den), rel=1e-12)
         assert np.all(parts.gamma >= parts.gamma_minus)
         assert np.all(parts.gamma_minus >= noise - 1e-15)
+
+
+class TestPrecoders:
+    def test_single_user_is_mrt_per_item(self, rng):
+        h = cscg(rng, (5, 1, 4))
+        w = precoders(h, np.ones(1), 2.0, np.array([0.1]))
+        assert w.shape == h.shape
+        for hi, wi in zip(h, w):
+            np.testing.assert_allclose(wi[0], mrt_precoder(hi[0], 2.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_power_budget(self, rng, k):
+        h = cscg(rng, (6, k, 3))
+        w = precoders(h, np.ones(k), 2.0, np.full(k, 0.2))
+        total = np.sum(np.abs(w) ** 2, axis=(-2, -1))
+        # the water-level search stops within an absolute 1e-10 of the budget
+        assert np.all(total <= 2.0 + 1e-10)
 
 
 class TestWmmse:
