@@ -9,6 +9,7 @@ downstream algebra works on the absorbed quantities only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -359,11 +360,18 @@ def nearest_level(theta: np.ndarray, levels: int) -> np.ndarray:
     return (idx.astype(int)) % levels
 
 
+@lru_cache(maxsize=None)
+def _grid_points(levels: int) -> np.ndarray:
+    points = np.exp(1j * grid_angles(levels))
+    points.flags.writeable = False
+    return points
+
+
 def quantize_phases(theta: np.ndarray, levels: int) -> np.ndarray:
     """Unit-modulus vector on the phase grid nearest to the given angles."""
     if levels == CONTINUOUS:
         return np.exp(1j * np.asarray(theta, dtype=float))
-    return np.exp(1j * grid_angles(levels)[nearest_level(theta, levels)])
+    return _grid_points(levels)[nearest_level(theta, levels)]
 
 
 @dataclass

@@ -5,6 +5,7 @@ long-term phases from channel samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,8 @@ def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndar
     """
     c = h.conj() @ np.swapaxes(w, -1, -2)
     powers = np.abs(c) ** 2
-    total = powers.sum(axis=-1) + noise
-    own = np.diagonal(powers, axis1=-2, axis2=-1)
+    total = np.add.reduce(powers, axis=-1) + noise
+    own = powers.diagonal(axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(own > 0, own / (total - own), 0.0)
     return np.log2(1.0 + sinr), c
@@ -132,12 +133,14 @@ def _solve_power_split(
     """
     a_mat = (h.T * coef) @ h.conj()
     d, q_mat = np.linalg.eigh(a_mat)
-    d = np.clip(d, 0.0, None)
+    d = np.maximum(d, 0.0)
     t = q_mat.conj().T @ h.T                     # (M, K), t[:, k] = Q^H h_k
-    c_i = (np.abs(t) ** 2 * (np.abs(scale) ** 2)[None, :]).sum(axis=1)
+    c_i = np.add.reduce(np.abs(t) ** 2 * (np.abs(scale) ** 2)[None, :], axis=1)
 
     floor = max(d.max(initial=0.0), 1.0) * 1e-15
 
+    # called several times per WMMSE iteration: plain reductions and
+    # math.sqrt keep the per-call overhead low
     def total_power(mu: float) -> tuple[float, float]:
         denom = d + mu
         if mu <= floor:
@@ -146,26 +149,24 @@ def _solve_power_split(
             terms = c_i[keep] / (denom * denom)
         else:
             terms = c_i / (denom * denom)
-        return float(terms.sum()), float(-2.0 * (terms / denom).sum())
+        return float(np.add.reduce(terms)), -2.0 * float(np.add.reduce(terms / denom))
 
-    p0, _ = total_power(0.0)
-    if p0 <= power + tol:
-        mu = 0.0
-    else:
+    mu = 0.0
+    p, dp = total_power(mu)
+    if p > power + tol:
         # Newton on 1/sqrt(p(mu)), which is exactly linear in mu for a rank-one
         # profile and near-linear otherwise, so a handful of steps suffice
-        mu = 0.0
-        target = 1.0 / np.sqrt(power)
+        target = 1.0 / math.sqrt(power)
         for _ in range(100):
-            p, dp = total_power(mu)
             if abs(p - power) <= tol or dp >= 0.0:
                 break
-            h_val = 1.0 / np.sqrt(p) - target
+            h_val = 1.0 / math.sqrt(p) - target
             h_der = -dp / (2.0 * p ** 1.5)
             mu = max(mu - h_val / h_der, 0.0)
+            p, dp = total_power(mu)
 
     denom = d + mu
-    mask = denom > max(d.max(initial=0.0), 1.0) * 1e-15
+    mask = denom > floor
     inv = np.zeros_like(denom)
     inv[mask] = 1.0 / denom[mask]
     w = (q_mat @ (t * inv[:, None])).T * scale[:, None]
@@ -220,10 +221,10 @@ def wmmse_solve(
     its = 0
     for its in range(1, max_iters + 1):
         powers = np.abs(c) ** 2
-        gamma = powers.sum(axis=1) + noise
-        u = np.diagonal(c) / gamma
-        mse = 1.0 - np.diagonal(powers) / gamma
-        mse = np.clip(mse, 1e-300, None)
+        gamma = np.add.reduce(powers, axis=1) + noise
+        u = c.diagonal() / gamma
+        mse = 1.0 - powers.diagonal() / gamma
+        mse = np.maximum(mse, 1e-300)
         mw = weights_alpha / mse
         coef = mw * np.abs(u) ** 2
         scale = mw * u.conj()

@@ -173,23 +173,26 @@ def pdd_solve(
     violation = float(np.max(np.abs(v - u)))
     outer = 0
     for outer in range(1, params.max_outer + 1):
+        # rho and lam are fixed through the inner loop
+        rho_lam, two_rho = rho * lam, 2.0 * rho
         phi_v = phi @ v
-        resid = v - u + rho * lam
-        al_prev = (-float(np.real(np.vdot(v, phi_v)) + 2.0 * np.real(np.vdot(v, b)))
-                   + float(np.real(np.vdot(resid, resid))) / (2.0 * rho))
+        resid = v - u + rho_lam
+        al_prev = (-(np.vdot(v, phi_v).real + 2.0 * np.vdot(v, b).real)
+                   + np.vdot(resid, resid).real / two_rho)
         for inner in range(1, params.max_inner + 1):
             # v: minimizer of the linearized augmented Lagrangian over ||v||^2 <= N;
             # u: per-element nearest grid point to v + rho*lam
-            c = u - rho * lam + 2.0 * rho * (phi_v + b)
-            nrm2 = float(np.real(np.vdot(c, c)))
+            c = u - rho_lam + two_rho * (phi_v + b)
+            nrm2 = np.vdot(c, c).real
             v = c if nrm2 <= n else c / np.sqrt(nrm2 / n)
-            u = quantize_phases(np.angle(v + rho * lam), params.levels)
+            x = v + rho_lam
+            u = quantize_phases(np.arctan2(x.imag, x.real), params.levels)
             phi_v = phi @ v
-            resid = v - u + rho * lam
-            al_new = (-float(np.real(np.vdot(v, phi_v)) + 2.0 * np.real(np.vdot(v, b)))
-                      + float(np.real(np.vdot(resid, resid))) / (2.0 * rho))
+            resid = v - u + rho_lam
+            al_new = (-(np.vdot(v, phi_v).real + 2.0 * np.vdot(v, b).real)
+                      + np.vdot(resid, resid).real / two_rho)
             if record_trace:
-                trace.append((outer, inner, al_new, qf.quadratic(u),
+                trace.append((outer, inner, float(al_new), qf.quadratic(u),
                               float(np.max(np.abs(v - u)))))
             if abs(al_prev - al_new) <= params.eps_in * max(abs(al_prev), 1e-300):
                 break
@@ -264,8 +267,12 @@ def bcd_solve(
     return BcdResult(config=PhaseConfig(v, levels=levels), objective=obj, sweep_objectives=history)
 
 
-def _batch_quad(phis: np.ndarray, bs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    phi_x = (phis @ x[..., None])[..., 0]
+def _matvec(phis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (phis @ x[..., None])[..., 0]
+
+
+def _batch_quad(x: np.ndarray, phi_x: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Per-row x^H Phi x + 2 Re{x^H b}, given phi_x = Phi x."""
     return (np.einsum("sn,sn->s", x.conj(), phi_x).real
             + 2.0 * np.einsum("sn,sn->s", x.conj(), bs).real)
 
@@ -295,54 +302,68 @@ def pdd_solve_batch(
         lam_max = np.linalg.eigvalsh(phis)[:, -1]
         rho_all = np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
 
-    best_obj = _batch_quad(phis, bs, u_all)
+    best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
     best_u = u_all.copy()
     pending = np.ones(s, dtype=bool)
     converged = np.zeros(s, dtype=bool)
 
+    idx = np.arange(0)
     for _ in range(params.max_outer):
         if not pending.any():
             break
-        idx = np.flatnonzero(pending)
-        ph, b = phis[idx], bs[idx]
-        v, u, lam, rho = v_all[idx], u_all[idx], lam_all[idx], rho_all[idx]
+        if pending.sum() != idx.size:      # the pending set only shrinks
+            idx = np.flatnonzero(pending)
+            ph_idx, b_idx = phis[idx], bs[idx]
+        ph, b, v, u = ph_idx, b_idx, v_all[idx], u_all[idx]
+        # rho and lam are fixed through the inner loop
+        rho = rho_all[idx]
+        rho_lam = rho[:, None] * lam_all[idx]
+        two_rho = 2.0 * rho
 
-        def al_of(vv, uu, rr, ll, pph, bb):
-            resid = vv - uu + rr[:, None] * ll
-            return (-_batch_quad(pph, bb, vv)
-                    + np.einsum("sn,sn->s", resid.conj(), resid).real / (2.0 * rr))
+        def al_of(vv, phi_vv, uu):
+            resid = vv - uu + rho_lam
+            return (-_batch_quad(vv, phi_vv, b)
+                    + np.einsum("sn,sn->s", resid.conj(), resid).real / two_rho)
 
-        phi_v = (ph @ v[..., None])[..., 0]
-        al_prev = al_of(v, u, rho, lam, ph, b)
-        live = np.arange(idx.size)         # positions within idx still iterating
+        phi_v = _matvec(ph, v)
+        al_prev = al_of(v, phi_v, u)
+        # Working rows: `live` maps them to positions within idx. A row whose
+        # inner loop stops is saved and marked inactive; inactive rows are
+        # dropped only once they are a quarter of the working set, because
+        # copying Phi costs more than a few wasted iterations.
+        live = np.arange(idx.size)
+        active = np.ones(idx.size, dtype=bool)
         for _ in range(params.max_inner):
-            c = u - rho[:, None] * lam + 2.0 * rho[:, None] * (phi_v + b)
+            c = u - rho_lam + two_rho[:, None] * (phi_v + b)
             nrm2 = np.einsum("sn,sn->s", c.conj(), c).real
             scale = np.where(nrm2 <= n, 1.0, np.sqrt(n / np.maximum(nrm2, 1e-300)))
             v = c * scale[:, None]
-            u = quantize_phases(np.angle(v + rho[:, None] * lam), params.levels)
-            phi_v = (ph @ v[..., None])[..., 0]
-            al_new = al_of(v, u, rho, lam, ph, b)
-            done = np.abs(al_prev - al_new) <= params.eps_in * np.maximum(np.abs(al_prev), 1e-300)
+            x = v + rho_lam
+            u = quantize_phases(np.arctan2(x.imag, x.real), params.levels)
+            phi_v = _matvec(ph, v)
+            al_new = al_of(v, phi_v, u)
+            done = active & (np.abs(al_prev - al_new)
+                             <= params.eps_in * np.maximum(np.abs(al_prev), 1e-300))
+            al_prev = al_new
             if done.any():
                 fin = np.flatnonzero(done)
                 v_all[idx[live[fin]]] = v[fin]
                 u_all[idx[live[fin]]] = u[fin]
-                keep = ~done
-                if not keep.any():
-                    live = live[:0]
+                active &= ~done
+                n_active = np.count_nonzero(active)
+                if n_active == 0:
                     break
-                live = live[keep]
-                v, u, lam, rho = v[keep], u[keep], lam[keep], rho[keep]
-                ph, b, phi_v, al_prev = ph[keep], b[keep], phi_v[keep], al_new[keep]
-            else:
-                al_prev = al_new
-        if live.size:
-            v_all[idx[live]] = v
-            u_all[idx[live]] = u
+                if 4 * n_active <= 3 * active.size:
+                    keep = active
+                    live, active = live[keep], active[keep]
+                    v, u, rho_lam, two_rho = v[keep], u[keep], rho_lam[keep], two_rho[keep]
+                    ph, b, phi_v, al_prev = ph[keep], b[keep], phi_v[keep], al_prev[keep]
+        else:
+            v_all[idx[live[active]]] = v[active]
+            u_all[idx[live[active]]] = u[active]
 
         vv, uu = v_all[idx], u_all[idx]
-        obj_u = _batch_quad(phis[idx], bs[idx], uu)
+        obj_u = _batch_quad(uu, _matvec(ph_idx, uu), b_idx)
         better = obj_u > best_obj[idx]
         best_obj[idx] = np.where(better, obj_u, best_obj[idx])
         best_u[idx] = np.where(better[:, None], uu, best_u[idx])
