@@ -14,7 +14,6 @@ from .channel import (
     Scenario,
     StatisticalCsi,
     build_scsi,
-    effective_channel,
     effective_channels,
     exp_correlation,
     kron_correlation,

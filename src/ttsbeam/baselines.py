@@ -31,6 +31,9 @@ from .single_user import (
 # measurable quality loss and keeps sweep runtimes practical
 ICSI_PDD = PddParams(c=0.8, max_inner=30)
 
+ICSI_MAX_ROUNDS = 30        # multiuser alternating rounds per slot
+ICSI_REL_TOL = 1e-4         # relative WMMSE objective gain that ends them
+
 
 def random_phase(levels: int, n: int, rng: np.random.Generator) -> PhaseConfig:
     """Unit-amplitude reflection vector with phases drawn uniformly.
@@ -82,9 +85,6 @@ def naive_icsi(
     noise: np.ndarray,
 ) -> PhaseConfig:
     """Phases designed from the first slot's realization only, then frozen."""
-    if first_slot.num_users == 1:
-        params = replace(ICSI_PDD, levels=levels)
-        return pdd_solve(instantaneous_quadratic_form(first_slot), params).config
     return icsi_per_slot(first_slot, levels, weights_alpha, power, noise).config
 
 
@@ -93,23 +93,21 @@ def single_timescale(
     levels: int,
     power: float,
     noise: np.ndarray,
-    weights_alpha: np.ndarray | None = None,
-    ssca_params: SscaParams | None = None,
-    rng: np.random.Generator | None = None,
+    weights_alpha: np.ndarray,
+    ssca_params: SscaParams,
+    rng: np.random.Generator,
 ) -> tuple[PhaseConfig, np.ndarray]:
     """Freeze both the phases and the precoders from statistical CSI alone.
 
-    Phases come from the long-term optimizer; precoders are designed on the
-    mean effective channels and never adapted afterwards.
+    Phases come from the long-term optimizer (PDD for one user, SSCA with
+    `ssca_params` and `rng` for more); precoders are designed on the mean
+    effective channels and never adapted afterwards.
     """
-    k = scsi.num_users
-    if weights_alpha is None:
-        weights_alpha = np.ones(k)
-    if k == 1:
+    if scsi.num_users == 1:
         config = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config
     else:
-        config = ssca_run(scsi, power, noise, weights_alpha,
-                          ssca_params or SscaParams(), levels=levels, rng=rng).config
+        config = ssca_run(scsi, power, noise, weights_alpha, ssca_params,
+                          levels=levels, rng=rng).config
     h_mean = scsi.mean_effective_channels(config.v)
     return config, precoders(h_mean, weights_alpha, power, noise)
 
@@ -150,8 +148,6 @@ def icsi_per_slot(
     weights_alpha: np.ndarray,
     power: float,
     noise: np.ndarray,
-    max_rounds: int = 30,
-    rel_tol: float = 1e-4,
 ) -> IcsiDesign:
     """Joint per-slot design from this slot's full realization.
 
@@ -173,12 +169,13 @@ def icsi_per_slot(
     state = None
     prev_obj = None
     objectives: list[float] = []
-    for _ in range(max_rounds):
+    for _ in range(ICSI_MAX_ROUNDS):
         h_eff = effective_channels(v, ch)
         state = wmmse_solve(h_eff, weights_alpha, power, noise,
                             w0=None if state is None else state.w)
         objectives.append(state.objective)
-        if prev_obj is not None and state.objective - prev_obj <= rel_tol * max(abs(prev_obj), 1e-12):
+        if (prev_obj is not None
+                and state.objective - prev_obj <= ICSI_REL_TOL * max(abs(prev_obj), 1e-12)):
             break
         prev_obj = state.objective
         qf = _mse_quadratic_form(v, state, ch, noise)

@@ -199,17 +199,15 @@ class StatisticalCsi:
     s_au: np.ndarray            # (K,)
     s_ai: float
     s_iu: np.ndarray            # (K,)
-    phi_r_sqrt: np.ndarray = field(default=None, repr=False)
-    phi_d_sqrt: np.ndarray = field(default=None, repr=False)
-    phi_rk_sqrt: np.ndarray = field(default=None, repr=False)
+    # square roots of the correlation matrices, derived on construction
+    phi_r_sqrt: np.ndarray = field(init=False, repr=False)
+    phi_d_sqrt: np.ndarray = field(init=False, repr=False)
+    phi_rk_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.phi_r_sqrt is None:
-            self.phi_r_sqrt = psd_sqrt(self.phi_r)
-        if self.phi_d_sqrt is None:
-            self.phi_d_sqrt = psd_sqrt(self.phi_d)
-        if self.phi_rk_sqrt is None:
-            self.phi_rk_sqrt = np.stack([psd_sqrt(p) for p in self.phi_rk])
+        self.phi_r_sqrt = psd_sqrt(self.phi_r)
+        self.phi_d_sqrt = psd_sqrt(self.phi_d)
+        self.phi_rk_sqrt = np.stack([psd_sqrt(p) for p in self.phi_rk])
 
     @property
     def num_users(self) -> int:
@@ -225,13 +223,16 @@ class StatisticalCsi:
 
     def mean_effective_channels(self, v: np.ndarray) -> np.ndarray:
         """Deterministic part of each user's effective channel, shape (K, M)."""
-        v = np.asarray(v)
-        return (self.zbar_r * v[None, :]) @ self.fbar.conj() + self.zbar_d
+        return effective_channels(v, InstantaneousChannels(g=self.fbar, h_r=self.zbar_r,
+                                                           h_d=self.zbar_d))
 
 
 @dataclass
 class InstantaneousChannels:
-    """One realization of all links for a single time slot."""
+    """One realization of all links for a time slot, or a stack of slots.
+
+    A stack carries the slot axis first: g (S, N, M), h_r (S, K, N), h_d (S, K, M).
+    """
 
     g: np.ndarray       # (N, M) AP->IRS
     h_r: np.ndarray     # (K, N) IRS->user
@@ -239,7 +240,11 @@ class InstantaneousChannels:
 
     @property
     def num_users(self) -> int:
-        return self.h_r.shape[0]
+        return self.h_r.shape[-2]
+
+    def slot(self, s: int) -> "InstantaneousChannels":
+        """Slot s of a stack."""
+        return InstantaneousChannels(g=self.g[s], h_r=self.h_r[s], h_d=self.h_d[s])
 
 
 def _cscg(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -325,8 +330,7 @@ def sample_batch(
 
 def sample_instantaneous(scsi: StatisticalCsi, rng: np.random.Generator) -> InstantaneousChannels:
     """Draw one correlated-Rician realization of all links."""
-    g, h_r, h_d = sample_batch(scsi, 1, rng)
-    return InstantaneousChannels(g=g[0], h_r=h_r[0], h_d=h_d[0])
+    return InstantaneousChannels(*sample_batch(scsi, 1, rng)).slot(0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +409,19 @@ class PhaseConfig:
 
 
 def phase_vector(v) -> np.ndarray:
-    """Accept a PhaseConfig or a raw complex vector."""
+    """Accept a PhaseConfig or a raw complex vector (or stack of vectors)."""
     if isinstance(v, PhaseConfig):
         return v.v
-    return np.asarray(v, dtype=complex).reshape(-1)
-
-
-def effective_channel(v, ch: InstantaneousChannels, k: int) -> np.ndarray:
-    """Composite AP->user channel seen with reflection vector v frozen.
-
-    h_k = G^H diag(h_{r,k}) v + h_{d,k}, i.e. h_k^H = v^H diag(h_{r,k}^H) G + h_{d,k}^H.
-    """
-    vv = phase_vector(v)
-    return ch.g.conj().T @ (ch.h_r[k] * vv) + ch.h_d[k]
+    return np.asarray(v, dtype=complex)
 
 
 def effective_channels(v, ch: InstantaneousChannels) -> np.ndarray:
-    """Effective channels of all users, shape (K, M)."""
+    """Composite AP->user channels h_k = G^H diag(h_{r,k}) v + h_{d,k}, shape (..., K, M).
+
+    Equivalently h_k^H = v^H diag(h_{r,k}^H) G + h_{d,k}^H. Leading axes
+    broadcast: one slot gives (K, M), a stack of S slots gives (S, K, M) with v
+    of shape (N,) shared or (S, N) per slot, and the deterministic parts of
+    the statistical CSI give the mean channel.
+    """
     vv = phase_vector(v)
-    return (ch.h_r * vv[None, :]) @ ch.g.conj() + ch.h_d
+    return (ch.h_r * vv[..., None, :]) @ ch.g.conj() + ch.h_d

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import baselines
-from .channel import InstantaneousChannels, Scenario, build_scsi, sample_batch
+from .channel import InstantaneousChannels, Scenario, build_scsi, effective_channels, sample_batch
 from .config import ConfigError, ExperimentSpec, db_to_linear, dbm_to_watts, levels_for_bits
 from .multi_user import precoders, slot_rates, ssca_run
 from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
@@ -123,10 +123,7 @@ class _Trial:
         draws = [sample_batch(self.scsi, 1, substream(spec.seed, "samples", index, s))
                  for s in range(spec.slots)]
         # g (S, N, M), h_r (S, K, N), h_d (S, K, M)
-        self.g, self.h_r, self.h_d = (np.concatenate(parts) for parts in zip(*draws))
-
-    def slot(self, s: int) -> InstantaneousChannels:
-        return InstantaneousChannels(g=self.g[s], h_r=self.h_r[s], h_d=self.h_d[s])
+        self.ch = InstantaneousChannels(*(np.concatenate(parts) for parts in zip(*draws)))
 
     def rng(self, name: str, *path) -> np.random.Generator:
         return substream(self.spec.seed, name, self.index, *path)
@@ -135,22 +132,18 @@ class _Trial:
     def qf(self) -> QuadraticForm:
         return build_quadratic_form(self.scsi)
 
-    def channels(self, v: np.ndarray) -> np.ndarray:
-        """(S, K, M) effective channels for v of shape (N,) or (S, N)."""
-        return (self.h_r * v[..., None, :]) @ self.g.conj() + self.h_d
-
 
 def _adaptive_precoders(t: _Trial, v: np.ndarray) -> np.ndarray:
     """(S, K) rates with the phases v held, (N,) shared or (S, N) per slot, and
     the precoders re-designed every slot."""
-    h = t.channels(v)
+    h = effective_channels(v, t.ch)
     return slot_rates(h, precoders(h, t.spec.weights, t.power, t.noise), t.noise)[0]
 
 
 def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(S, K) rates with the phases and the precoders both held; v is (N,) or
     (S, N), w is (K, M) or (S, K, M)."""
-    return slot_rates(t.channels(v), w, t.noise)[0]
+    return slot_rates(effective_channels(v, t.ch), w, t.noise)[0]
 
 
 # Scheme entries: design on the slow timescale, then one of the two evaluators.
@@ -158,7 +151,7 @@ def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 # attribute (as a profiler or tracer does) sees every call.
 
 def _tts_pdd(t: _Trial, levels: int, q: int) -> np.ndarray:
-    if t.h_r.shape[1] != 1:
+    if t.scsi.num_users != 1:
         raise ExperimentError("tts-pdd is the single-user long-term scheme")
     return _adaptive_precoders(t, pdd_solve(t.qf, PddParams(levels=levels)).config.v)
 
@@ -170,18 +163,18 @@ def _tts_ssca(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _random_phase(t: _Trial, levels: int, q: int) -> np.ndarray:
-    n = t.h_r.shape[2]
+    n = t.scsi.num_elements
     v = np.stack([baselines.random_phase(levels, n, t.rng("phase", s, q)).v
                   for s in range(t.spec.slots)])
     return _adaptive_precoders(t, v)
 
 
 def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
-    return _adaptive_precoders(t, np.zeros(t.h_r.shape[2], dtype=complex))
+    return _adaptive_precoders(t, np.zeros(t.scsi.num_elements, dtype=complex))
 
 
 def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
-    cfg = baselines.naive_icsi(t.slot(0), levels, t.spec.weights, t.power, t.noise)
+    cfg = baselines.naive_icsi(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise)
     return _adaptive_precoders(t, cfg.v)
 
 
@@ -192,12 +185,12 @@ def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
-    if t.h_r.shape[1] == 1:
+    if t.scsi.num_users == 1:
         # every slot's ||h_eff(v)||^2 as a quadratic form, solved in one batch
-        phis, bs = baselines.slot_quadratic_forms(t.g, t.h_r[:, 0], t.h_d[:, 0])
+        phis, bs = baselines.slot_quadratic_forms(t.ch.g, t.ch.h_r[:, 0], t.ch.h_d[:, 0])
         u, _, _ = pdd_solve_batch(phis, bs, replace(baselines.ICSI_PDD, levels=levels))
         return _adaptive_precoders(t, u)
-    designs = [baselines.icsi_per_slot(t.slot(s), levels, t.spec.weights, t.power, t.noise)
+    designs = [baselines.icsi_per_slot(t.ch.slot(s), levels, t.spec.weights, t.power, t.noise)
                for s in range(t.spec.slots)]
     return _fixed_precoders(t, np.stack([d.config.v for d in designs]),
                             np.stack([d.w for d in designs]))

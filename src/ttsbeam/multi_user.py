@@ -24,6 +24,10 @@ from .single_user import mrt_precoder
 
 LOG2E = 1.0 / np.log(2.0)
 
+WMMSE_TOL = 1e-6            # relative weighted-sum-rate gain that ends WMMSE
+WMMSE_MAX_ITERS = 200
+WATER_LEVEL_TOL = 1e-10     # water-level search stops within this many watts of P
+
 
 # ---------------------------------------------------------------------------
 # instantaneous rates and their gradients
@@ -123,14 +127,15 @@ def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndar
 
 
 def _solve_power_split(
-    h: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float, tol: float = 1e-10
+    h: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float
 ) -> tuple[np.ndarray, float]:
     """Precoders w_k = scale_k (A + mu I)^{-1} h_k with A = h^H diag(coef) h.
 
     mu >= 0 is chosen so the total power meets the budget with complementary
     slackness: mu = 0 when the unconstrained solution is feasible, otherwise
-    a monotone root search drives sum ||w_k||^2 to P (tolerance `tol`).
+    a monotone root search drives sum ||w_k||^2 to P (within WATER_LEVEL_TOL).
     """
+    tol = WATER_LEVEL_TOL
     a_mat = (h.T * coef) @ h.conj()
     d, q_mat = np.linalg.eigh(a_mat)
     d = np.maximum(d, 0.0)
@@ -178,15 +183,13 @@ def wmmse_solve(
     weights_alpha: np.ndarray,
     power: float,
     noise: np.ndarray,
-    tol: float = 1e-6,
-    max_iters: int = 200,
     w0: np.ndarray | None = None,
 ) -> WmmseState:
     """Weighted sum-rate maximization over the effective channels h (K, M).
 
     Alternates (i) MMSE receive scalars, (ii) MSE weights alpha_k / e_k,
     (iii) regularized-inverse precoders with a power bisection, until the
-    weighted sum-rate improves by less than `tol` relative.
+    weighted sum-rate improves by less than WMMSE_TOL relative.
     """
     h = np.asarray(h, dtype=complex)
     k_users, m = h.shape
@@ -219,7 +222,7 @@ def wmmse_solve(
     mw = weights_alpha.copy()
     mu = 0.0
     its = 0
-    for its in range(1, max_iters + 1):
+    for its in range(1, WMMSE_MAX_ITERS + 1):
         powers = np.abs(c) ** 2
         gamma = np.add.reduce(powers, axis=1) + noise
         u = c.diagonal() / gamma
@@ -232,7 +235,7 @@ def wmmse_solve(
         rates, c = slot_rates(h, w, noise)
         new_obj = float(weights_alpha @ rates)
         trace.append(new_obj)
-        if new_obj - obj <= tol * max(abs(obj), 1e-12):
+        if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12):
             obj = new_obj
             break
         obj = new_obj
@@ -295,7 +298,6 @@ class SurrogateState:
     jac_avg: np.ndarray            # (N, K) running Jacobian average
     grad: np.ndarray               # (N,) = jac_avg @ alpha
     v_prev: np.ndarray             # (N,)
-    v_bar: np.ndarray | None = None
     t: int = 0
 
     @classmethod
@@ -337,12 +339,9 @@ def solve_surrogate(state: SurrogateState, tau: float, unit_modulus: bool = Fals
     """
     target = state.v_prev + state.grad / tau
     if unit_modulus:
-        v_bar = np.exp(1j * np.angle(np.where(target == 0, 1.0, target)))
-    else:
-        mags = np.abs(target)
-        v_bar = np.where(mags <= 1.0, target, target / np.maximum(mags, 1e-300))
-    state.v_bar = v_bar
-    return v_bar
+        return _on_grid(target, CONTINUOUS)
+    mags = np.abs(target)
+    return np.where(mags <= 1.0, target, target / np.maximum(mags, 1e-300))
 
 
 def ssca_step_v(state: SurrogateState, v_bar: np.ndarray, t: int, gamma_exponent: float) -> np.ndarray:
@@ -353,14 +352,15 @@ def ssca_step_v(state: SurrogateState, v_bar: np.ndarray, t: int, gamma_exponent
     return v_new
 
 
-def project_discrete(v, levels: int) -> PhaseConfig:
-    """Recover unit modulus, then snap each phase to the nearest grid point.
+def _on_grid(v: np.ndarray, levels: int) -> np.ndarray:
+    """Unit-modulus vector with each phase of v snapped to the grid; a zero
+    entry reads as phase 0. Continuous resolution only normalizes amplitudes."""
+    return quantize_phases(np.angle(np.where(v == 0, 1.0, v)), levels)
 
-    Continuous resolution (levels == 0) only normalizes amplitudes.
-    """
-    vv = phase_vector(v)
-    angles = np.angle(np.where(vv == 0, 1.0, vv))
-    return PhaseConfig(quantize_phases(angles, levels), levels=levels)
+
+def project_discrete(v, levels: int) -> PhaseConfig:
+    """Recover unit modulus, then snap each phase to the nearest grid point."""
+    return PhaseConfig(_on_grid(phase_vector(v), levels), levels=levels)
 
 
 @dataclass
@@ -380,8 +380,8 @@ def ssca_run(
     noise: np.ndarray,
     weights_alpha: np.ndarray,
     params: SscaParams,
-    levels: int = CONTINUOUS,
-    rng: np.random.Generator | None = None,
+    levels: int,
+    rng: np.random.Generator,
     v0: np.ndarray | None = None,
     amplitude: str = "relaxed",
     stop_when_stable: bool = False,
@@ -396,8 +396,6 @@ def ssca_run(
     soon as the weighted-rate trace meets the trailing-window stability rule);
     the final iterate is projected onto the requested phase grid.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if amplitude not in ("relaxed", "unit"):
         raise ValueError("amplitude must be 'relaxed' or 'unit'")
     n, k = scsi.num_elements, scsi.num_users
@@ -407,7 +405,6 @@ def ssca_run(
     weights_alpha = np.broadcast_to(np.asarray(weights_alpha, dtype=float), (k,))
 
     trace: list[tuple[int, float, float, float, float]] = []
-    r_hat_sums: list[float] = []
     small_steps = 0
     converged = False
     stabilized_at: int | None = None
@@ -416,13 +413,13 @@ def ssca_run(
     for t in range(1, params.max_iters + 1):
         rates = np.empty((params.samples_per_iter, k))
         jacs = np.empty((params.samples_per_iter, n, k), dtype=complex)
-        g_all, hr_all, hd_all = sample_batch(scsi, params.samples_per_iter, rng)
+        samples = InstantaneousChannels(*sample_batch(scsi, params.samples_per_iter, rng))
+        h_eff = effective_channels(state.v_prev, samples)
         for ell in range(params.samples_per_iter):
-            ch = InstantaneousChannels(g=g_all[ell], h_r=hr_all[ell], h_d=hd_all[ell])
-            h_eff = effective_channels(state.v_prev, ch)
-            wstate = wmmse_solve(h_eff, weights_alpha, power, noise, w0=w_warm)
+            wstate = wmmse_solve(h_eff[ell], weights_alpha, power, noise, w0=w_warm)
             w_warm = wstate.w
-            rates[ell], partials = instantaneous_rates(state.v_prev, wstate.w, ch, noise)
+            rates[ell], partials = instantaneous_rates(state.v_prev, wstate.w,
+                                                       samples.slot(ell), noise)
             jacs[ell] = rate_jacobian(partials)
 
         ssca_update_surrogate(state, rates, jacs, weights_alpha, params.rho_exponent)
@@ -430,16 +427,15 @@ def ssca_run(
         v_old = state.v_prev.copy()
         v_new = ssca_step_v(state, v_bar, t, params.gamma_exponent)
         if amplitude == "unit":
-            v_new = np.exp(1j * np.angle(np.where(v_new == 0, 1.0, v_new)))
+            v_new = _on_grid(v_new, CONTINUOUS)
             state.v_prev = v_new
         change = float(np.max(np.abs(v_new - v_old)))
         rho_t = float(t) ** (-params.rho_exponent)
         gamma_t = float(t) ** (-params.gamma_exponent)
         trace.append((t, rho_t, gamma_t, float(state.r_hat.sum()), change))
-        r_hat_sums.append(float(state.r_hat.sum()))
 
         if stabilized_at is None and t >= 50:
-            window = np.array(r_hat_sums[-50:])
+            window = np.array([row[3] for row in trace[-50:]])
             mean = window.mean()
             if mean != 0 and window.std() < 0.02 * abs(mean):
                 stabilized_at = t

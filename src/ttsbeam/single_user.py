@@ -105,25 +105,25 @@ def mrt_rate(h_eff: np.ndarray, power: float, noise: float) -> float:
 # penalty dual decomposition
 # ---------------------------------------------------------------------------
 
+PDD_EPS_IN = 1e-4       # relative AL decrease that ends an inner loop
+PDD_EPS_OUT = 1e-6      # max |v - u| that ends the outer loop
+PDD_MAX_OUTER = 500
+
+
 @dataclass
 class PddParams:
-    """Knobs of the double-loop penalty solver."""
+    """Phase grid and penalty schedule of the double-loop penalty solver.
+
+    The initial penalty is always `default_rho0` of the problem.
+    """
 
     levels: int = CONTINUOUS
-    rho0: float | None = None      # None -> 10 / (2 * lambda_max(Phi))
     c: float = 0.95                # penalty shrink factor per outer iteration
-    eps_in: float = 1e-4           # relative AL decrease threshold (inner)
-    eps_out: float = 1e-6          # max |v - u| threshold (outer)
     max_inner: int = 200
-    max_outer: int = 500
 
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError("penalty factor c must lie in (0, 1)")
-        if self.eps_in <= 0 or self.eps_out <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.rho0 is not None and self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
 
 
 @dataclass
@@ -153,9 +153,10 @@ def pdd_solve(
     """Double-loop penalty solver for the grid-constrained quadratic maximization.
 
     Inner loop: block updates of v (ball-constrained, linearized) and u (grid)
-    until the relative decrease of the augmented Lagrangian falls below eps_in.
-    Outer loop: dual ascent lam += (v - u)/rho and penalty shrink rho *= c until
-    the consensus violation ||v - u||_inf falls below eps_out. The relative
+    until the relative decrease of the augmented Lagrangian falls below
+    PDD_EPS_IN. Outer loop: dual ascent lam += (v - u)/rho and penalty shrink
+    rho *= c until the consensus violation ||v - u||_inf falls below
+    PDD_EPS_OUT. The relative
     decrease test makes the iterate sequence invariant to positive rescaling
     of (Phi, b).
     """
@@ -164,7 +165,7 @@ def pdd_solve(
     v = np.ones(n, dtype=complex)
     u = quantize_phases(np.angle(v), params.levels)
     lam = np.zeros(n, dtype=complex)
-    rho = params.rho0 if params.rho0 is not None else default_rho0(qf)
+    rho = default_rho0(qf)
 
     best_obj = qf.quadratic(u)
     best_u = u.copy()
@@ -172,7 +173,7 @@ def pdd_solve(
     converged = False
     violation = float(np.max(np.abs(v - u)))
     outer = 0
-    for outer in range(1, params.max_outer + 1):
+    for outer in range(1, PDD_MAX_OUTER + 1):
         # rho and lam are fixed through the inner loop
         rho_lam, two_rho = rho * lam, 2.0 * rho
         phi_v = phi @ v
@@ -194,7 +195,7 @@ def pdd_solve(
             if record_trace:
                 trace.append((outer, inner, float(al_new), qf.quadratic(u),
                               float(np.max(np.abs(v - u)))))
-            if abs(al_prev - al_new) <= params.eps_in * max(abs(al_prev), 1e-300):
+            if abs(al_prev - al_new) <= PDD_EPS_IN * max(abs(al_prev), 1e-300):
                 break
             al_prev = al_new
         obj_u = qf.quadratic(u)
@@ -203,7 +204,7 @@ def pdd_solve(
             best_u = u.copy()
         lam = lam + (v - u) / rho
         violation = float(np.max(np.abs(v - u)))
-        if violation < params.eps_out:
+        if violation < PDD_EPS_OUT:
             converged = True
             break
         rho *= params.c
@@ -224,6 +225,10 @@ def pdd_solve(
 # coordinate descent and exhaustive search
 # ---------------------------------------------------------------------------
 
+BCD_REL_TOL = 1e-8
+BCD_MAX_SWEEPS = 1000
+
+
 @dataclass
 class BcdResult:
     config: PhaseConfig
@@ -235,13 +240,12 @@ def bcd_solve(
     qf: QuadraticForm,
     levels: int,
     v0: np.ndarray | None = None,
-    rel_tol: float = 1e-8,
-    max_sweeps: int = 1000,
 ) -> BcdResult:
     """One-at-a-time exact coordinate maximization over the phase grid.
 
     Each coordinate update maximizes 2 Re{v_n^* q_n} with
     q_n = sum_{j != n} Phi(n, j) v_j + b_n, so the objective never decreases.
+    Sweeps stop once one gains at most BCD_REL_TOL relative.
     """
     n = qf.size
     v = np.ones(n, dtype=complex) if v0 is None else phase_vector(v0).copy()
@@ -252,7 +256,7 @@ def bcd_solve(
         v = on_grid
     obj = qf.quadratic(v)
     history = [obj]
-    for _ in range(max_sweeps):
+    for _ in range(BCD_MAX_SWEEPS):
         for i in range(n):
             q = qf.phi[i] @ v - qf.phi[i, i] * v[i] + qf.b[i]
             if q == 0:
@@ -260,7 +264,7 @@ def bcd_solve(
             v[i] = quantize_phases(np.array([np.angle(q)]), levels)[0]
         new_obj = qf.quadratic(v)
         history.append(new_obj)
-        if new_obj - obj <= rel_tol * max(abs(obj), 1e-300):
+        if new_obj - obj <= BCD_REL_TOL * max(abs(obj), 1e-300):
             obj = new_obj
             break
         obj = new_obj
@@ -296,11 +300,9 @@ def pdd_solve_batch(
     v_all = np.ones((s, n), dtype=complex)
     u_all = quantize_phases(np.angle(v_all), params.levels)
     lam_all = np.zeros((s, n), dtype=complex)
-    if params.rho0 is not None:
-        rho_all = np.full(s, params.rho0)
-    else:
-        lam_max = np.linalg.eigvalsh(phis)[:, -1]
-        rho_all = np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
+    # default_rho0 per slot
+    lam_max = np.linalg.eigvalsh(phis)[:, -1]
+    rho_all = np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
 
     best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
     best_u = u_all.copy()
@@ -308,7 +310,7 @@ def pdd_solve_batch(
     converged = np.zeros(s, dtype=bool)
 
     idx = np.arange(0)
-    for _ in range(params.max_outer):
+    for _ in range(PDD_MAX_OUTER):
         if not pending.any():
             break
         if pending.sum() != idx.size:      # the pending set only shrinks
@@ -343,7 +345,7 @@ def pdd_solve_batch(
             phi_v = _matvec(ph, v)
             al_new = al_of(v, phi_v, u)
             done = active & (np.abs(al_prev - al_new)
-                             <= params.eps_in * np.maximum(np.abs(al_prev), 1e-300))
+                             <= PDD_EPS_IN * np.maximum(np.abs(al_prev), 1e-300))
             al_prev = al_new
             if done.any():
                 fin = np.flatnonzero(done)
@@ -369,7 +371,7 @@ def pdd_solve_batch(
         best_u[idx] = np.where(better[:, None], uu, best_u[idx])
         lam_all[idx] += (vv - uu) / rho_all[idx][:, None]
         viol = np.max(np.abs(vv - uu), axis=1)
-        newly = viol < params.eps_out
+        newly = viol < PDD_EPS_OUT
         converged[idx[newly]] = True
         pending[idx[newly]] = False
         rho_all[idx[~newly]] *= params.c
@@ -378,9 +380,10 @@ def pdd_solve_batch(
 
 
 MAX_BRUTE_FORCE = 2 ** 20
+BRUTE_FORCE_BATCH = 16384      # candidates scored per vectorized step
 
 
-def brute_force_solve(qf: QuadraticForm, levels: int, batch: int = 16384) -> PddResult:
+def brute_force_solve(qf: QuadraticForm, levels: int) -> PddResult:
     """Exhaustive search over all levels^N grid vectors (global optimum oracle)."""
     if levels < 1:
         raise ValueError("brute force requires a finite phase grid")
@@ -392,8 +395,8 @@ def brute_force_solve(qf: QuadraticForm, levels: int, batch: int = 16384) -> Pdd
     weights = levels ** np.arange(n - 1, -1, -1)  # first element most significant
     best_val = -np.inf
     best_idx = 0
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
+    for start in range(0, total, BRUTE_FORCE_BATCH):
+        idx = np.arange(start, min(start + BRUTE_FORCE_BATCH, total))
         digits = (idx[:, None] // weights[None, :]) % levels
         cand = phases[digits]
         vals = np.einsum("bn,nm,bm->b", cand.conj(), qf.phi, cand).real

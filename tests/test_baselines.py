@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttsbeam import (
+    SscaParams,
     build_scsi,
     effective_channels,
     icsi_per_slot,
@@ -157,7 +158,8 @@ class TestSingleTimescale:
         scsi.s_au[:] = 0.0
         scsi.s_iu[:] = 0.0
         p, noise = scen.transmit_power, scen.noise_powers
-        cfg, w = single_timescale(scsi, 2, p, noise)
+        cfg, w = single_timescale(scsi, 2, p, noise, np.ones(1), SscaParams(),
+                                  substream(44, "ssca"))
         ch = sample_instantaneous(scsi, substream(44, "slot"))
         frozen_rates, _ = instantaneous_rates(cfg.v, w, ch, noise)
         adaptive = mrt_rate(effective_channels(cfg.v, ch)[0], p, float(noise[0]))
@@ -166,7 +168,6 @@ class TestSingleTimescale:
     def test_power_budget(self):
         scen = small_scenario(users=2, n_shape=(2, 2), m=2)
         scsi = build_scsi(scen, substream(45, "s"))
-        from ttsbeam import SscaParams
         cfg, w = single_timescale(scsi, 2, scen.transmit_power, scen.noise_powers,
                                   np.ones(2), ssca_params=SscaParams(max_iters=20, patience=3),
                                   rng=substream(45, "ssca"))
@@ -176,7 +177,6 @@ class TestSingleTimescale:
     def test_multiuser_rayleigh_direct_below_random_phase(self):
         # frozen statistical precoders suffer unmanaged interference, losing
         # even to random phases with per-slot precoding
-        from ttsbeam import SscaParams, random_phase, wmmse_solve
         scen = small_scenario(users=3, n_shape=(2, 3), m=3, betas_db=(0.0, 5.0, 5.0))
         scen.rician.beta_au = 0.0
         p, noise = scen.transmit_power, scen.noise_powers

@@ -4,7 +4,7 @@ import pytest
 from ttsbeam import (
     build_quadratic_form,
     build_scsi,
-    effective_channel,
+    effective_channels,
     exp_correlation,
     kron_correlation,
     path_loss,
@@ -222,14 +222,14 @@ class TestEffectiveChannel:
     def test_zero_reflection_leaves_direct_path(self, rng):
         ch = InstantaneousChannels(g=cscg(rng, (4, 2)), h_r=cscg(rng, (1, 4)),
                                    h_d=cscg(rng, (1, 2)))
-        out = effective_channel(np.zeros(4), ch, 0)
+        out = effective_channels(np.zeros(4), ch)[0]
         assert np.allclose(out, ch.h_d[0])
 
     def test_scalar_case(self, rng):
         ch = InstantaneousChannels(g=cscg(rng, (1, 1)), h_r=cscg(rng, (1, 1)),
                                    h_d=cscg(rng, (1, 1)))
         v = np.exp(1j * 0.7)
-        out = effective_channel(np.array([v]), ch, 0)
+        out = effective_channels(np.array([v]), ch)[0]
         by_hand = np.conj(v.conj() * ch.h_r[0, 0].conj() * ch.g[0, 0] + ch.h_d[0, 0].conj())
         assert out[0] == pytest.approx(by_hand)
 
@@ -241,7 +241,27 @@ class TestEffectiveChannel:
         theta = np.diag(v.conj())
         for k in range(2):
             ref = (ch.h_r[k].conj() @ theta @ ch.g + ch.h_d[k].conj()).conj()
-            assert np.allclose(effective_channel(v, ch, k), ref)
+            assert np.allclose(effective_channels(v, ch)[k], ref)
+
+    @pytest.mark.parametrize("per_slot_phases", [False, True])
+    def test_slot_stack_matches_per_slot_calls(self, rng, per_slot_phases):
+        s, k, n, m = 5, 3, 6, 4
+        stack = InstantaneousChannels(g=cscg(rng, (s, n, m)), h_r=cscg(rng, (s, k, n)),
+                                      h_d=cscg(rng, (s, k, m)))
+        shape = (s, n) if per_slot_phases else (n,)
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+        out = effective_channels(v, stack)
+        assert out.shape == (s, k, m)
+        assert stack.num_users == k
+        for i in range(s):
+            vi = v[i] if per_slot_phases else v
+            assert np.array_equal(out[i], effective_channels(vi, stack.slot(i)))
+
+    def test_mean_channel_is_the_deterministic_parts(self):
+        scsi = build_scsi(small_scenario(users=2), substream(3, "s"))
+        v = np.exp(1j * np.linspace(0.0, 3.0, scsi.num_elements))
+        ref = (scsi.zbar_r * v[None, :]) @ scsi.fbar.conj() + scsi.zbar_d
+        assert np.array_equal(scsi.mean_effective_channels(v), ref)
 
 
 class TestPhaseConfig:

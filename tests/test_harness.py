@@ -9,7 +9,6 @@ from ttsbeam import (
     apply_sweep,
     build_quadratic_form,
     build_scsi,
-    effective_channel,
     effective_channels,
     emit_csv,
     icsi_per_slot,
@@ -185,7 +184,7 @@ class TestSchemeTable:
                                  for s in range(slots)],
             }
             for tag, vs in phases.items():
-                expected = np.mean([mrt_rate(effective_channel(v, ch, 0), p, noise)
+                expected = np.mean([mrt_rate(effective_channels(v, ch)[0], p, noise)
                                     for v, ch in zip(vs, chs)])
                 assert out[(tag, q)][0] == pytest.approx(expected, rel=1e-12)
 
