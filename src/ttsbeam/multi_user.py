@@ -26,7 +26,7 @@ LOG2E = 1.0 / np.log(2.0)
 
 WMMSE_TOL = 1e-6            # relative weighted-sum-rate gain that ends WMMSE
 WMMSE_MAX_ITERS = 200
-WATER_LEVEL_TOL = 1e-10     # water-level search stops within this many watts of P
+WATER_LEVEL_TOL = 1e-10     # water-level search stops within this fraction of P
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +133,9 @@ def _solve_power_split(
 
     mu >= 0 is chosen so the total power meets the budget with complementary
     slackness: mu = 0 when the unconstrained solution is feasible, otherwise
-    a monotone root search drives sum ||w_k||^2 to P (within WATER_LEVEL_TOL).
+    a monotone root search drives sum ||w_k||^2 to P, within WATER_LEVEL_TOL * P.
     """
-    tol = WATER_LEVEL_TOL
+    tol = WATER_LEVEL_TOL * power
     a_mat = (h.T * coef) @ h.conj()
     d, q_mat = np.linalg.eigh(a_mat)
     d = np.maximum(d, 0.0)
