@@ -6,6 +6,7 @@ in-memory objects only ever carry linear quantities.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
@@ -35,6 +36,15 @@ def dbm_to_watts(x: float) -> float:
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
+
+
+def _integer(value, key: str) -> int:
+    """`value` as an int; a bool, a fractional number or a non-number is a
+    ConfigError that names `key`, never a silent truncation."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -73,9 +83,10 @@ class ExperimentSpec:
         for s in self.schemes:
             if s not in SCHEME_TAGS:
                 raise ConfigError(f"unknown scheme tag '{s}'")
-        self.q_bits = tuple(int(q) for q in self.q_bits)
+        self.q_bits = tuple(_integer(q, "q_bits") for q in self.q_bits)
         if any(q < 0 for q in self.q_bits):
             raise ConfigError("q_bits entries must be >= 0 (0 = continuous)")
+        self.slots, self.trials = _integer(self.slots, "slots"), _integer(self.trials, "trials")
         if self.slots < 1 or self.trials < 1:
             raise ConfigError("slots and trials must be >= 1")
         self.weights = np.broadcast_to(
@@ -227,9 +238,10 @@ def scenario_from_mapping(raw: dict) -> Scenario:
                                           r_rk=r_rk * user_positions.shape[0])
         return Scenario(
             ap_position=_require(raw, "ap_position", "scenario"),
-            ap_antennas=int(_require(raw, "ap_antennas", "scenario")),
+            ap_antennas=_integer(_require(raw, "ap_antennas", "scenario"), "ap_antennas"),
             irs_position=_require(raw, "irs_position", "scenario"),
-            irs_shape=tuple(int(x) for x in _require(raw, "irs_shape", "scenario")),
+            irs_shape=tuple(_integer(x, "irs_shape")
+                            for x in _require(raw, "irs_shape", "scenario")),
             user_positions=user_positions,
             transmit_power=power,
             noise_powers=noise_powers,
@@ -255,16 +267,18 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
     defaults = SscaParams()
     ssca_raw = _section(exp.get("ssca", {}), "ssca", [f.name for f in fields(SscaParams)])
     try:
-        # each value is cast to the type of its dataclass default (int or float)
-        ssca = SscaParams(**{k: type(getattr(defaults, k))(x) for k, x in ssca_raw.items()})
+        # each value takes the type of its dataclass default (int or float)
+        ssca = SscaParams(**{
+            k: _integer(x, f"ssca.{k}") if isinstance(getattr(defaults, k), int) else float(x)
+            for k, x in ssca_raw.items()})
         return ExperimentSpec(
             scenario=scenario,
             schemes=tuple(exp.get("schemes", ("tts-pdd",))),
             q_bits=tuple(exp.get("q_bits", (1,))),
-            slots=int(exp.get("slots", 200)),
-            trials=int(exp.get("trials", 200)),
+            slots=exp.get("slots", 200),
+            trials=exp.get("trials", 200),
             weights=np.asarray(exp.get("weights", [1.0] * scenario.num_users), dtype=float),
-            seed=int(raw.get("seed", DEFAULT_SEED)),
+            seed=_integer(raw.get("seed", DEFAULT_SEED), "seed"),
             sweep=sweep,
             ssca=ssca,
         )

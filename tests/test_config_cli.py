@@ -127,6 +127,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"'{key}' in {section} section"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("  slots: 2", "  slots: 2.5", "slots"),
+        ("  q_bits: [1]", "  q_bits: [1.7]", "q_bits"),
+        ("  trials: 2", "  trials: true", "trials"),
+        ("  trials: 2", "  trials: 2\n  ssca: {max_iters: 10.9}", "ssca.max_iters"),
+        ("  irs_shape: [2, 2]", "  irs_shape: [2, 2.5]", "irs_shape"),
+        ("seed: 123", "seed: 1.5", "seed"),
+    ])
+    def test_fractional_count_is_named(self, tmp_path, old, new, key):
+        path = tmp_path / "count.yaml"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(str(path))
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        path = tmp_path / "count.yaml"
+        path.write_text(TINY_CONFIG.replace("  slots: 2", "  slots: 2.0"))
+        slots = load_config(str(path)).slots
+        assert slots == 2 and isinstance(slots, int)
+
     def test_threads_setting_is_accepted(self, tmp_path):
         path = tmp_path / "threads.yaml"
         path.write_text(TINY_CONFIG + "  threads: 1\n")
@@ -170,6 +190,13 @@ class TestCli:
         cfg.write_text(TINY_CONFIG.replace("  slots: 2", "  slotz: 5"))
         assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "unknown key 'slotz' in experiment section" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_count_exits_one(self, tmp_path, capsys):
+        cfg, out = tmp_path / "count.yaml", tmp_path / "out.csv"
+        cfg.write_text(TINY_CONFIG.replace("  slots: 2", "  slots: 2.5"))
+        assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: slots must be an integer, got 2.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_grid_exits_one(self, tiny_config, tmp_path, capsys):
