@@ -208,10 +208,18 @@ SCHEMES = {
 
 
 def _run_trial(scenario: Scenario, spec: ExperimentSpec, trial: int) -> dict[tuple[str, int], np.ndarray]:
-    """Mean per-user rates of every (scheme, q) cell over one trial's slots."""
+    """Mean per-user rates of every (scheme, q) cell over one trial's slots.
+
+    A rate that is not finite raises FloatingPointError naming its cell.
+    """
     t = _Trial(scenario, spec, trial)
-    return {(scheme, q): SCHEMES[scheme](t, levels_for_bits(q), q).mean(axis=0)
-            for scheme, q in _scheme_cells(spec)}
+    out = {}
+    for scheme, q in _scheme_cells(spec):
+        rates = SCHEMES[scheme](t, levels_for_bits(q), q).mean(axis=0)
+        if not np.isfinite(rates).all():
+            raise FloatingPointError(f"{scheme} at q={q}: rates {rates} are not finite")
+        out[(scheme, q)] = rates
+    return out
 
 
 def simulate_point(
@@ -222,10 +230,9 @@ def simulate_point(
     for trial in range(spec.trials):
         try:
             kept.append(_run_trial(scenario, spec, trial))
-        except ExperimentError:
-            raise
-        except Exception as exc:  # per-trial numerical failures are tolerated
-            log.warning("trial %d failed: %s", trial, exc)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            # numerical failures are tolerated per trial; any other error is a bug
+            log.warning("trial %d failed: %s: %s", trial, type(exc).__name__, exc)
 
     failures = spec.trials - len(kept)
     if failures > MAX_FAILURE_FRACTION * spec.trials:

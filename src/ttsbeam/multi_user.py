@@ -121,8 +121,9 @@ def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndar
     powers = np.abs(c) ** 2
     total = np.add.reduce(powers, axis=-1) + noise
     own = powers.diagonal(axis1=-2, axis2=-1)
+    # a user without signal has rate 0; a NaN channel stays NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(own > 0, own / (total - own), 0.0)
+        sinr = np.where(own == 0, 0.0, own / (total - own))
     return np.log2(1.0 + sinr), c
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,8 @@ class TestRunExperiment:
         se_big = run_experiment(big)[0].std_error
         assert se_small / se_big == pytest.approx(2.0, rel=0.2)
 
-    def test_failed_trials_excluded_and_capped(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_trials_excluded_and_capped(self, monkeypatch, caplog):
         scen = small_scenario(n_shape=(2, 2), m=2)
         spec = quick_spec(scen, schemes=("no-irs",), slots=1, trials=30, seed=2)
         real = harness._run_trial
@@ -133,6 +136,32 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_run_trial", very_flaky)
         with pytest.raises(ExperimentError):
+            simulate_point(scen, spec)
+
+        # a NaN channel is a numerical failure: counted, and its reason logged
+        monkeypatch.setattr(harness, "_run_trial", real)
+        no_irs = harness.SCHEMES["no-irs"]
+
+        def nan_channel(t, levels, q):
+            if t.index == 4:
+                t.ch.h_d[0] = np.nan
+            return no_irs(t, levels, q)
+
+        monkeypatch.setitem(harness.SCHEMES, "no-irs", nan_channel)
+        with caplog.at_level(logging.WARNING, logger="ttsbeam"):
+            stats, failures = simulate_point(scen, spec)
+        assert failures == 1
+        assert stats[("no-irs", 0)].weighted.size == 29
+        assert "trial 4 failed: FloatingPointError: no-irs at q=0" in caplog.text
+
+        # a code error is not a tolerated failure
+        def buggy(scenario, sp, trial):
+            if trial == 4:
+                raise TypeError("synthetic bug")
+            return real(scenario, sp, trial)
+
+        monkeypatch.setattr(harness, "_run_trial", buggy)
+        with pytest.raises(TypeError, match="synthetic bug"):
             simulate_point(scen, spec)
 
     def test_tts_pdd_rejects_multiuser(self):
