@@ -17,7 +17,7 @@ from .channel import (
     effective_channels,
     grid_angles,
 )
-from .multi_user import SscaParams, precoders, slot_rates, ssca_run, wmmse_solve
+from .multi_user import SscaParams, WmmseState, precoders, slot_rates, ssca_run, wmmse_solve
 from .single_user import (
     PddParams,
     QuadraticForm,
@@ -112,9 +112,7 @@ def single_timescale(
     return config, precoders(h_mean, weights_alpha, power, noise)
 
 
-def _mse_quadratic_form(
-    v: np.ndarray, state, ch: InstantaneousChannels, noise: np.ndarray
-) -> QuadraticForm:
+def _mse_quadratic_form(state: WmmseState, ch: InstantaneousChannels) -> QuadraticForm:
     """Weighted-MSE surrogate as a quadratic in v, with receivers/weights fixed.
 
     sum_k mw_k e_k = v^H Phi v + 2 Re{v^H b} + const, so minimizing it over the
@@ -178,7 +176,7 @@ def icsi_per_slot(
                 and state.objective - prev_obj <= ICSI_REL_TOL * max(abs(prev_obj), 1e-12)):
             break
         prev_obj = state.objective
-        qf = _mse_quadratic_form(v, state, ch, noise)
+        qf = _mse_quadratic_form(state, ch)
         v = bcd_solve(qf, levels, v0=v).config.v
     h_eff = effective_channels(v, ch)
     state = wmmse_solve(h_eff, weights_alpha, power, noise, w0=state.w)

@@ -39,10 +39,8 @@ class ConfigError(ValueError):
 
 
 def _integer(value, key: str) -> int:
-    """`value` as an int; a bool, a fractional number or a non-number is a
-    ConfigError that names `key`, never a silent truncation."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+    """`value` as an int; a bool, a fraction or a non-number is a ConfigError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -268,9 +266,8 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
     ssca_raw = _section(exp.get("ssca", {}), "ssca", [f.name for f in fields(SscaParams)])
     try:
         # each value takes the type of its dataclass default (int or float)
-        ssca = SscaParams(**{
-            k: _integer(x, f"ssca.{k}") if isinstance(getattr(defaults, k), int) else float(x)
-            for k, x in ssca_raw.items()})
+        ssca = SscaParams(**{k: _integer(x, f"ssca.{k}") if isinstance(getattr(defaults, k), int)
+                             else float(x) for k, x in ssca_raw.items()})
         return ExperimentSpec(
             scenario=scenario,
             schemes=tuple(exp.get("schemes", ("tts-pdd",))),

@@ -208,10 +208,8 @@ SCHEMES = {
 
 
 def _run_trial(scenario: Scenario, spec: ExperimentSpec, trial: int) -> dict[tuple[str, int], np.ndarray]:
-    """Mean per-user rates of every (scheme, q) cell over one trial's slots.
-
-    A rate that is not finite raises FloatingPointError naming its cell.
-    """
+    """Mean per-user rates of every (scheme, q) cell over one trial's slots; a
+    rate that is not finite raises FloatingPointError naming its cell."""
     t = _Trial(scenario, spec, trial)
     out = {}
     for scheme, q in _scheme_cells(spec):

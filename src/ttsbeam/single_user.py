@@ -112,10 +112,7 @@ PDD_MAX_OUTER = 500
 
 @dataclass
 class PddParams:
-    """Phase grid and penalty schedule of the double-loop penalty solver.
-
-    The initial penalty is always `default_rho0` of the problem.
-    """
+    """Phase grid and penalty schedule of the penalty solver (rho0 is `default_rho0`)."""
 
     levels: int = CONTINUOUS
     c: float = 0.95                # penalty shrink factor per outer iteration
@@ -137,12 +134,11 @@ class PddResult:
     # trace rows: (outer_iter, inner_iter, al_value, objective_at_u, violation_inf_norm)
 
 
-def default_rho0(qf: QuadraticForm) -> float:
-    """1/(2*lambda_max) scaled up 10x; the ball constraint keeps any rho0 valid."""
-    lam_max = float(np.linalg.eigvalsh(qf.phi)[-1]) if qf.size else 0.0
-    if lam_max <= 0.0:
-        return 1.0
-    return 10.0 / (2.0 * lam_max)
+def default_rho0(phi: np.ndarray) -> np.ndarray:
+    """1/(2*lambda_max(Phi)) scaled up 10x, or 1 without a positive eigenvalue; the
+    ball constraint keeps any rho0 valid. Batched over leading axes of phi."""
+    lam_max = np.linalg.eigvalsh(phi)[..., -1]
+    return np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
 
 
 def pdd_solve(
@@ -165,7 +161,7 @@ def pdd_solve(
     v = np.ones(n, dtype=complex)
     u = quantize_phases(np.angle(v), params.levels)
     lam = np.zeros(n, dtype=complex)
-    rho = default_rho0(qf)
+    rho = float(default_rho0(phi))
 
     best_obj = qf.quadratic(u)
     best_u = u.copy()
@@ -300,9 +296,7 @@ def pdd_solve_batch(
     v_all = np.ones((s, n), dtype=complex)
     u_all = quantize_phases(np.angle(v_all), params.levels)
     lam_all = np.zeros((s, n), dtype=complex)
-    # default_rho0 per slot
-    lam_max = np.linalg.eigvalsh(phis)[:, -1]
-    rho_all = np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
+    rho_all = default_rho0(phis)
 
     best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
     best_u = u_all.copy()
