@@ -152,9 +152,8 @@ def pdd_solve(
     until the relative decrease of the augmented Lagrangian falls below
     PDD_EPS_IN. Outer loop: dual ascent lam += (v - u)/rho and penalty shrink
     rho *= c until the consensus violation ||v - u||_inf falls below
-    PDD_EPS_OUT. The relative
-    decrease test makes the iterate sequence invariant to positive rescaling
-    of (Phi, b).
+    PDD_EPS_OUT. The relative decrease test makes the iterate sequence
+    invariant to positive rescaling of (Phi, b).
     """
     n = qf.size
     phi, b = qf.phi, qf.b
