@@ -36,7 +36,6 @@ from .single_user import (
     rate_upper_bound,
 )
 from .multi_user import (
-    RatePartials,
     SscaParams,
     SscaResult,
     SurrogateState,

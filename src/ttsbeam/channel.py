@@ -340,6 +340,7 @@ def sample_instantaneous(scsi: StatisticalCsi, rng: np.random.Generator) -> Inst
 CONTINUOUS = 0  # `levels` value encoding continuous phase resolution
 
 GRID_ANGLE_TOL = 1e-12
+UNIT_MODULUS_TOL = 1e-9  # absolute bound on | |v_n| - 1 |
 
 
 def grid_angles(levels: int) -> np.ndarray:
@@ -393,7 +394,7 @@ class PhaseConfig:
         self.v = np.asarray(self.v, dtype=complex).reshape(-1)
         if self.levels < 0:
             raise ValueError("levels must be >= 0")
-        if not np.allclose(np.abs(self.v), 1.0, atol=1e-9):
+        if not np.all(np.abs(np.abs(self.v) - 1.0) <= UNIT_MODULUS_TOL):
             raise ValueError("phase configurations require |v_n| = 1")
         if self.levels >= 1:
             angles = np.mod(np.angle(self.v), 2.0 * np.pi)

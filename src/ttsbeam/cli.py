@@ -218,8 +218,8 @@ def _validate(args) -> int:
     w = (rng_j.standard_normal((k, m)) + 1j * rng_j.standard_normal((k, m))) / np.sqrt(2)
     vv = np.exp(1j * rng_j.uniform(0, 2 * np.pi, n))
     noise = np.full(k, 0.3)
-    _, partials = instantaneous_rates(vv, w, ch, noise)
-    jac = rate_jacobian(partials)
+    _, c = instantaneous_rates(vv, w, ch, noise)
+    jac = rate_jacobian(ch, w, c, noise)
     eps = 1e-6
     worst = 0.0
     for idx in range(n):

@@ -33,63 +33,55 @@ WATER_LEVEL_TOL = 1e-10     # water-level search stops within this fraction of P
 # instantaneous rates and their gradients
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RatePartials:
-    """Per-user received-power splits and gradient ingredients.
+def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user rates log2(1 + SINR_k) for effective channels h and precoders w.
 
-    gamma[k] is the total received power plus noise at user k, gamma_minus[k]
-    excludes the own-signal term. a[k] / a_minus[k] are the matching conjugate
-    gradients of those powers w.r.t. the reflection vector.
+    h and w are (..., K, M) with the K precoders as rows; leading axes
+    broadcast, so one (K, M) precoder set can serve a stack of slots. Returns
+    the (..., K) rates and the cross gains c[..., k, j] = h_k^H w_j.
     """
+    c = h.conj() @ np.swapaxes(w, -1, -2)
+    powers = np.abs(c) ** 2
+    total = np.add.reduce(powers, axis=-1) + noise
+    own = powers.diagonal(axis1=-2, axis2=-1)
+    # a user without signal has rate 0; a NaN channel stays NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(own == 0, 0.0, own / (total - own))
+    return np.log2(1.0 + sinr), c
 
-    gamma: np.ndarray          # (K,)
-    gamma_minus: np.ndarray    # (K,)
-    a: np.ndarray              # (K, N) complex
-    a_minus: np.ndarray        # (K, N) complex
 
+def instantaneous_rates(v, w: np.ndarray, ch: InstantaneousChannels,
+                        noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`slot_rates` at the effective channels of reflection vector v.
 
-def instantaneous_rates(
-    v, w: np.ndarray, ch: InstantaneousChannels, noise: np.ndarray
-) -> tuple[np.ndarray, RatePartials]:
-    """Per-user rates log2(gamma/gamma_minus) for fixed precoders.
-
-    `w` holds the K precoders as rows (K, M). Also returns the quantities
-    needed by `rate_jacobian`.
+    Leading axes of v, w and the channels broadcast. Returns the (..., K)
+    rates and the (..., K, K) cross gains that `rate_jacobian` takes.
     """
-    vv = phase_vector(v)
-    w = np.asarray(w, dtype=complex)
-    k_users, n = ch.h_r.shape
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
-
-    gamma = np.empty(k_users)
-    gamma_minus = np.empty(k_users)
-    a = np.zeros((k_users, n), dtype=complex)
-    a_minus = np.zeros((k_users, n), dtype=complex)
-    for k in range(k_users):
-        # g[j] = diag(h_{r,k}^H) G w_j ; c[j] = h_k^H w_j = v^H g[j] + h_{d,k}^H w_j
-        g = ch.h_r[k].conj()[None, :] * (ch.g @ w.T).T        # (K, N)
-        c = g @ vv.conj() + w @ ch.h_d[k].conj()              # (K,)
-        powers = np.abs(c) ** 2
-        grads = g * c.conj()[:, None]                          # d|c_j|^2 / d v^*
-        gamma[k] = powers.sum() + noise[k]
-        gamma_minus[k] = gamma[k] - powers[k]
-        a[k] = grads.sum(axis=0)
-        a_minus[k] = a[k] - grads[k]
-    rates = np.log2(gamma / gamma_minus)
-    return rates, RatePartials(gamma=gamma, gamma_minus=gamma_minus, a=a, a_minus=a_minus)
+    return slot_rates(effective_channels(v, ch), w, noise)
 
 
-def rate_jacobian(partials: RatePartials) -> np.ndarray:
-    """Conjugate-gradient Jacobian of the rate vector, shape (N, K).
+def rate_jacobian(ch: InstantaneousChannels, w: np.ndarray, c: np.ndarray,
+                  noise: np.ndarray) -> np.ndarray:
+    """Conjugate-gradient Jacobian of the rate vector, shape (..., N, K).
 
-    Column k is (1/ln 2) * (a_k / gamma_k - a_{-k} / gamma_{-k}); the 1/ln 2
-    factor converts the natural-log gradient to bits. For a real perturbation
-    of v_n the rate moves by 2 Re{J[n, k]} per unit step, for an imaginary
-    perturbation by 2 Im{J[n, k]}.
+    c holds the cross gains c[..., k, j] = h_k^H w_j that `slot_rates` returns
+    for these channels and precoders; leading axes broadcast. |c_kj|^2 has
+    conjugate gradient g_kj c_kj^* with g_kj = diag(h_{r,k}^H) G w_j, so column
+    k is (1/ln 2) * (a_k / gamma_k - a_{-k} / gamma_{-k}), where a_k sums those
+    gradients over j, a_{-k} leaves out j = k, gamma_k is the received power
+    plus noise and gamma_{-k} leaves out |c_kk|^2. The 1/ln 2 factor converts
+    the natural-log gradient to bits. For a real perturbation of v_n the rate
+    moves by 2 Re{J[n, k]} per unit step, for an imaginary perturbation by
+    2 Im{J[n, k]}.
     """
-    cols = (partials.a / partials.gamma[:, None]
-            - partials.a_minus / partials.gamma_minus[:, None])
-    return LOG2E * cols.T
+    gw = ch.g @ np.swapaxes(w, -1, -2)                    # (..., N, K): G w_j
+    hr = np.swapaxes(ch.h_r, -1, -2).conj()               # (..., N, K): h_{r,k}^*
+    c_own = c.diagonal(axis1=-2, axis2=-1)
+    gamma = np.add.reduce(np.abs(c) ** 2, axis=-1) + noise
+    gamma_minus = gamma - np.abs(c_own) ** 2
+    a = hr * (gw @ np.swapaxes(c, -1, -2).conj())
+    a_minus = a - hr * gw * c_own.conj()[..., None, :]
+    return LOG2E * (a / gamma[..., None, :] - a_minus / gamma_minus[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +100,6 @@ class WmmseState:
     objective: float           # weighted sum-rate, bits/s/Hz
     trace: list[float] = field(default_factory=list)
     iterations: int = 0
-
-
-def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user rates log2(1 + SINR_k) for effective channels h and precoders w.
-
-    h and w are (..., K, M) with the K precoders as rows; leading axes
-    broadcast, so one (K, M) precoder set can serve a stack of slots. Returns
-    the (..., K) rates and the cross gains c[..., k, j] = h_k^H w_j.
-    """
-    c = h.conj() @ np.swapaxes(w, -1, -2)
-    powers = np.abs(c) ** 2
-    total = np.add.reduce(powers, axis=-1) + noise
-    own = powers.diagonal(axis1=-2, axis2=-1)
-    # a user without signal has rate 0; a NaN channel stays NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(own == 0, 0.0, own / (total - own))
-    return np.log2(1.0 + sinr), c
 
 
 def _solve_power_split(
@@ -412,16 +387,16 @@ def ssca_run(
     w_warm: np.ndarray | None = None
     t = 0
     for t in range(1, params.max_iters + 1):
-        rates = np.empty((params.samples_per_iter, k))
-        jacs = np.empty((params.samples_per_iter, n, k), dtype=complex)
         samples = InstantaneousChannels(*sample_batch(scsi, params.samples_per_iter, rng))
         h_eff = effective_channels(state.v_prev, samples)
-        for ell in range(params.samples_per_iter):
-            wstate = wmmse_solve(h_eff[ell], weights_alpha, power, noise, w0=w_warm)
-            w_warm = wstate.w
-            rates[ell], partials = instantaneous_rates(state.v_prev, wstate.w,
-                                                       samples.slot(ell), noise)
-            jacs[ell] = rate_jacobian(partials)
+        # each sample's solve starts from the previous sample's precoders
+        ws = []
+        for h in h_eff:
+            w_warm = wmmse_solve(h, weights_alpha, power, noise, w0=w_warm).w
+            ws.append(w_warm)
+        w = np.stack(ws)
+        rates, c = slot_rates(h_eff, w, noise)
+        jacs = rate_jacobian(samples, w, c, noise)
 
         ssca_update_surrogate(state, rates, jacs, weights_alpha, params.rho_exponent)
         v_bar = solve_surrogate(state, params.tau, unit_modulus=(amplitude == "unit"))

@@ -14,6 +14,19 @@ def cscg(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def reference_rates(v, w, ch, noise):
+    """Per-user log2(1 + SINR_k), written out user by user as an independent
+    check on the library's batched rate formula."""
+    k_users = ch.h_r.shape[0]
+    rates = np.empty(k_users)
+    for k in range(k_users):
+        hk = v.conj() @ np.diag(ch.h_r[k].conj()) @ ch.g + ch.h_d[k].conj()   # h_k^H
+        powers = np.abs(hk @ w.T) ** 2
+        interference = powers.sum() - powers[k]
+        rates[k] = np.log2(1.0 + powers[k] / (interference + noise[k]))
+    return rates
+
+
 def random_psd_qf(n, seed, rank=None):
     """Random Hermitian-PSD quadratic form at O(1) scale."""
     rng = np.random.default_rng(seed)

@@ -127,8 +127,8 @@ def test_criterion_04_jacobian_finite_differences():
         w = cscg(rng, (k, m))
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         noise = rng.uniform(0.1, 0.5, k)
-        _, parts = instantaneous_rates(v, w, ch, noise)
-        jac = rate_jacobian(parts)
+        _, c = instantaneous_rates(v, w, ch, noise)
+        jac = rate_jacobian(ch, w, c, noise)
         idx = int(rng.integers(0, n))
         for direction, ref in ((1.0, 2 * jac[idx].real), (1j, 2 * jac[idx].imag)):
             dv = np.zeros(n, dtype=complex)

@@ -6,7 +6,6 @@ from ttsbeam import (
     build_scsi,
     effective_channels,
     icsi_per_slot,
-    instantaneous_rates,
     mrt_rate,
     naive_icsi,
     no_irs_rate,
@@ -18,7 +17,7 @@ from ttsbeam import (
 )
 from ttsbeam.channel import InstantaneousChannels, grid_angles
 
-from conftest import cscg, small_scenario
+from conftest import cscg, reference_rates, small_scenario
 
 
 class TestRandomPhase:
@@ -72,7 +71,7 @@ class TestNoIrs:
                                    h_d=cscg(rng, (2, 2)))
         alpha, p, noise = np.array([1.0, 2.0]), 1.5, np.array([0.1, 0.3])
         state = wmmse_solve(ch.h_d, alpha, p, noise)
-        expected, _ = instantaneous_rates(np.zeros(3), state.w, ch, noise)
+        expected = reference_rates(np.zeros(3), state.w, ch, noise)
         np.testing.assert_allclose(no_irs_rate(ch, alpha, p, noise), expected, rtol=1e-12)
 
     def test_dominated_by_per_slot_design(self):
@@ -161,7 +160,7 @@ class TestSingleTimescale:
         cfg, w = single_timescale(scsi, 2, p, noise, np.ones(1), SscaParams(),
                                   substream(44, "ssca"))
         ch = sample_instantaneous(scsi, substream(44, "slot"))
-        frozen_rates, _ = instantaneous_rates(cfg.v, w, ch, noise)
+        frozen_rates = reference_rates(cfg.v, w, ch, noise)
         adaptive = mrt_rate(effective_channels(cfg.v, ch)[0], p, float(noise[0]))
         assert frozen_rates[0] == pytest.approx(adaptive, rel=1e-9)
 
@@ -189,11 +188,11 @@ class TestSingleTimescale:
                                       rng=substream(4400 + trial, "ssca"))
             for s in range(30):
                 ch = sample_instantaneous(scsi, substream(4400 + trial, "slot", s))
-                r, _ = instantaneous_rates(cfg.v, w, ch, noise)
+                r = reference_rates(cfg.v, w, ch, noise)
                 frozen_sum.append(r.sum())
                 rv = random_phase(2, 6, substream(4400 + trial, "ph", s))
                 ww = wmmse_solve(effective_channels(rv.v, ch), alpha, p, noise).w
-                r2, _ = instantaneous_rates(rv.v, ww, ch, noise)
+                r2 = reference_rates(rv.v, ww, ch, noise)
                 random_sum.append(r2.sum())
         assert np.mean(frozen_sum) < np.mean(random_sum)
 

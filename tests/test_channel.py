@@ -266,8 +266,11 @@ class TestEffectiveChannel:
 
 class TestPhaseConfig:
     def test_unit_mode_enforced(self):
-        with pytest.raises(ValueError):
-            PhaseConfig(np.array([0.5 + 0j, 1.0]), levels=0)
+        # moduli within 1e-5 relative of 1 are still off the unit circle
+        for v, levels in ((np.array([0.5 + 0j, 1.0]), 0), (np.array([1.0 + 1e-6, 1.0]), 0),
+                          (np.full(4, -1.000009), 2), (np.array([np.nan, 1.0]), 0)):
+            with pytest.raises(ValueError):
+                PhaseConfig(v, levels=levels)
 
     def test_grid_membership_enforced(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from ttsbeam import (
     effective_channels,
     emit_csv,
     icsi_per_slot,
-    instantaneous_rates,
     levels_for_bits,
     mrt_rate,
     pdd_solve,
@@ -30,7 +29,7 @@ from ttsbeam.config import SCHEME_TAGS
 from ttsbeam.harness import ExperimentError, ResultRecord
 import ttsbeam.harness as harness
 
-from conftest import small_scenario
+from conftest import reference_rates, small_scenario
 
 
 def quick_spec(scenario, schemes=("random-phase",), q_bits=(1,), slots=3, trials=4,
@@ -229,7 +228,7 @@ class TestSchemeTable:
         for s, ch in enumerate(chs):
             v = random_phase(4, scen.num_elements, substream(seed, "phase", trial, s, 2)).v
             state = wmmse_solve(effective_channels(v, ch), spec.weights, scen.transmit_power, noise)
-            per_slot.append(instantaneous_rates(v, state.w, ch, noise)[0])
+            per_slot.append(reference_rates(v, state.w, ch, noise))
         np.testing.assert_allclose(out[("random-phase", 2)], np.mean(per_slot, axis=0),
                                    rtol=1e-12)
 
@@ -250,7 +249,7 @@ class TestSchemeTable:
         else:
             designs = [(d.config.v, d.w) for d in
                        (icsi_per_slot(ch, levels, spec.weights, p, noise) for ch in chs)]
-        expected = np.mean([instantaneous_rates(v, w, ch, noise)[0]
+        expected = np.mean([reference_rates(v, w, ch, noise)
                             for (v, w), ch in zip(designs, chs)], axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
