@@ -103,34 +103,40 @@ class WmmseState:
 
 
 def _solve_power_split(
-    h: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float
+    h_t: np.ndarray, h_conj: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float
 ) -> tuple[np.ndarray, float]:
     """Precoders w_k = scale_k (A + mu I)^{-1} h_k with A = h^H diag(coef) h.
 
-    mu >= 0 is chosen so the total power meets the budget with complementary
-    slackness: mu = 0 when the unconstrained solution is feasible, otherwise
-    a monotone root search drives sum ||w_k||^2 to P, within WATER_LEVEL_TOL * P.
+    Takes h.T and h.conj(), which the WMMSE loop computes once. mu >= 0 is
+    chosen so the total power meets the budget with complementary slackness:
+    mu = 0 when the unconstrained solution is feasible, otherwise a monotone
+    root search drives sum ||w_k||^2 to P, within WATER_LEVEL_TOL * P.
+    Eigenvalues at or below 1e-15 of the largest count as zero.
     """
     tol = WATER_LEVEL_TOL * power
-    a_mat = (h.T * coef) @ h.conj()
+    a_mat = (h_t * coef) @ h_conj
     d, q_mat = np.linalg.eigh(a_mat)
     d = np.maximum(d, 0.0)
-    t = q_mat.conj().T @ h.T                     # (M, K), t[:, k] = Q^H h_k
+    t = q_mat.conj().T @ h_t                     # (M, K), t[:, k] = Q^H h_k
     c_i = np.add.reduce(np.abs(t) ** 2 * (np.abs(scale) ** 2)[None, :], axis=1)
 
-    floor = max(d.max(initial=0.0), 1.0) * 1e-15
+    floor = d.max(initial=0.0) * 1e-15
+    d_list = d.tolist()
+    pairs = list(zip(d_list, c_i.tolist()))
 
-    # called several times per WMMSE iteration: plain reductions and
-    # math.sqrt keep the per-call overhead low
+    # called several times per WMMSE iteration on M terms: plain floats cost
+    # far less than numpy calls, and a left-to-right sum equals np.add.reduce
+    # bit for bit below 8 terms. Since d >= 0, only mu <= floor can drop terms.
     def total_power(mu: float) -> tuple[float, float]:
-        denom = d + mu
-        if mu <= floor:
-            keep = denom > floor
-            denom = denom[keep]
-            terms = c_i[keep] / (denom * denom)
-        else:
-            terms = c_i / (denom * denom)
-        return float(np.add.reduce(terms)), -2.0 * float(np.add.reduce(terms / denom))
+        p = slope = 0.0
+        for di, ci in pairs:
+            den = di + mu
+            if den <= floor:
+                continue
+            term = ci / (den * den)
+            p += term
+            slope += term / den
+        return p, -2.0 * slope
 
     mu = 0.0
     p, dp = total_power(mu)
@@ -146,10 +152,7 @@ def _solve_power_split(
             mu = max(mu - h_val / h_der, 0.0)
             p, dp = total_power(mu)
 
-    denom = d + mu
-    mask = denom > floor
-    inv = np.zeros_like(denom)
-    inv[mask] = 1.0 / denom[mask]
+    inv = np.array([1.0 / (di + mu) if di + mu > floor else 0.0 for di in d_list])
     w = (q_mat @ (t * inv[:, None])).T * scale[:, None]
     return w, mu
 
@@ -164,8 +167,9 @@ def wmmse_solve(
     """Weighted sum-rate maximization over the effective channels h (K, M).
 
     Alternates (i) MMSE receive scalars, (ii) MSE weights alpha_k / e_k,
-    (iii) regularized-inverse precoders with a power bisection, until the
-    weighted sum-rate improves by less than WMMSE_TOL relative.
+    (iii) regularized-inverse precoders whose water level mu meets the power
+    budget (Newton steps on 1/sqrt(p(mu))), until the weighted sum-rate
+    improves by less than WMMSE_TOL relative.
     """
     h = np.asarray(h, dtype=complex)
     k_users, m = h.shape
@@ -198,6 +202,7 @@ def wmmse_solve(
     mw = weights_alpha.copy()
     mu = 0.0
     its = 0
+    h_t, h_conj = h.T, h.conj()
     for its in range(1, WMMSE_MAX_ITERS + 1):
         powers = np.abs(c) ** 2
         gamma = np.add.reduce(powers, axis=1) + noise
@@ -207,7 +212,7 @@ def wmmse_solve(
         mw = weights_alpha / mse
         coef = mw * np.abs(u) ** 2
         scale = mw * u.conj()
-        w, mu = _solve_power_split(h, coef, scale, power)
+        w, mu = _solve_power_split(h_t, h_conj, coef, scale, power)
         rates, c = slot_rates(h, w, noise)
         new_obj = float(weights_alpha @ rates)
         trace.append(new_obj)
