@@ -145,6 +145,7 @@ class TestWmmse:
     @given(problem=wmmse_problems(antennas=st.integers(1, 7) | st.sampled_from([8, 12]),
                                   log_noise=st.floats(-9.0, 3.0)))
     def test_monotone_every_iteration(self, problem):
+        # noise from 1e-9 of the received power: below that see the xfail next
         state = wmmse_solve(*problem)
         for a, b in zip(state.trace, state.trace[1:]):
             assert b >= a - 1e-10 * max(1.0, abs(a))
