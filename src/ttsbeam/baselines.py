@@ -15,7 +15,6 @@ from .channel import (
     PhaseConfig,
     StatisticalCsi,
     effective_channels,
-    grid_angles,
 )
 from .multi_user import SscaParams, WmmseState, precoders, slot_rates, ssca_run, wmmse_solve
 from .single_user import (
@@ -42,10 +41,8 @@ def random_phase(levels: int, n: int, rng: np.random.Generator) -> PhaseConfig:
     draws angles uniformly on [0, 2*pi).
     """
     if levels == CONTINUOUS:
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    else:
-        angles = grid_angles(levels)[rng.integers(0, levels, size=n)]
-    return PhaseConfig(np.exp(1j * angles), levels=levels)
+        return PhaseConfig(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n)))
+    return PhaseConfig.on_grid(rng.integers(0, levels, size=n), levels)
 
 
 def no_irs_rate(
@@ -58,23 +55,21 @@ def no_irs_rate(
 def slot_quadratic_forms(
     g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi, b) of ||h_eff(v)||^2 = v^H Phi v + 2 Re{v^H b} + ||h_d||^2 per slot.
+    """(A, b) of ||h_eff(v)||^2 = v^H A A^H v + 2 Re{v^H b} + ||h_d||^2 per slot.
 
-    Phi = diag(h_r^H) G G^H diag(h_r), b = diag(h_r^H) G h_d for one user's
-    links, stacked over leading axes: g (..., N, M), h_r (..., N), h_d (..., M).
+    A = diag(h_r^H) G is the N x M factor of Phi = A A^H, and b = diag(h_r^H) G h_d,
+    for one user's links stacked over leading axes: g (..., N, M), h_r (..., N),
+    h_d (..., M). The N x N form Phi is never built.
     """
     d = h_r.conj()
-    gg = g @ np.swapaxes(g.conj(), -1, -2)
-    phi = d[..., :, None] * gg * h_r[..., None, :]
-    b = d * (g @ h_d[..., None])[..., 0]
-    return phi, b
+    return d[..., :, None] * g, d * (g @ h_d[..., None])[..., 0]
 
 
 def instantaneous_quadratic_form(ch: InstantaneousChannels, k: int = 0) -> QuadraticForm:
     """Single-slot analogue of the average-power form: ||h_eff(v)||^2 exactly."""
-    phi, b = slot_quadratic_forms(ch.g, ch.h_r[k], ch.h_d[k])
+    a, b = slot_quadratic_forms(ch.g, ch.h_r[k], ch.h_d[k])
     const = float(np.real(np.vdot(ch.h_d[k], ch.h_d[k])))
-    return QuadraticForm(phi=phi, b=b, const_term=const)
+    return QuadraticForm(phi=a @ a.conj().T, b=b, const_term=const)
 
 
 def naive_icsi(

@@ -8,6 +8,7 @@ downstream algebra works on the absorbed quantities only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -353,20 +354,24 @@ def grid_angles(levels: int) -> np.ndarray:
 def nearest_level(theta: np.ndarray, levels: int) -> np.ndarray:
     """Index of the grid phase closest (wrap-around) to each angle.
 
-    Exact ties resolve to the lowest index.
+    In grid steps x = (theta mod 2*pi) * L / (2*pi), the index is ceil(x - 1/2)
+    mod L. x - 1/2 is exact, so an exact tie resolves to the lower index, and
+    the wrap tie x = L - 1/2 resolves to 0. `grid_index` is the same rule on
+    one Python float.
     """
-    theta = np.asarray(theta, dtype=float)
-    x = np.mod(theta, 2.0 * np.pi) * levels / (2.0 * np.pi)
-    base = np.floor(x)
-    frac = x - base
-    idx = np.where(frac > 0.5, base + 1.0, base)
-    # wrap tie between the last level and level 0 resolves to 0
-    idx = np.where((frac == 0.5) & (base == levels - 1), 0.0, idx)
-    return (idx.astype(int)) % levels
+    x = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi) * levels / (2.0 * np.pi)
+    return np.where(x == levels - 0.5, 0, np.ceil(x - 0.5).astype(int) % levels)
+
+
+def grid_index(theta: float, levels: int) -> int:
+    """`nearest_level` of one Python float, bit for bit, without numpy's per-call cost."""
+    x = theta % (2.0 * math.pi) * levels / (2.0 * math.pi)
+    return 0 if x == levels - 0.5 else math.ceil(x - 0.5) % levels
 
 
 @lru_cache(maxsize=None)
-def _grid_points(levels: int) -> np.ndarray:
+def grid_points(levels: int) -> np.ndarray:
+    """The phase grid as unit-modulus points, cached and read-only."""
     points = np.exp(1j * grid_angles(levels))
     points.flags.writeable = False
     return points
@@ -376,7 +381,7 @@ def quantize_phases(theta: np.ndarray, levels: int) -> np.ndarray:
     """Unit-modulus vector on the phase grid nearest to the given angles."""
     if levels == CONTINUOUS:
         return np.exp(1j * np.asarray(theta, dtype=float))
-    return _grid_points(levels)[nearest_level(theta, levels)]
+    return grid_points(levels)[nearest_level(theta, levels)]
 
 
 @dataclass
@@ -403,6 +408,14 @@ class PhaseConfig:
             dist = np.minimum(dist, 2.0 * np.pi - dist)
             if dist.min(axis=1).max() > GRID_ANGLE_TOL:
                 raise ValueError("phases are not on the declared grid")
+
+    @classmethod
+    def on_grid(cls, idx: np.ndarray, levels: int) -> "PhaseConfig":
+        """The points `idx` of the `levels`-point grid; they lie on the grid by
+        construction, so the checks of the constructor are skipped."""
+        config = object.__new__(cls)
+        config.v, config.levels = grid_points(levels)[idx], levels
+        return config
 
     @property
     def size(self) -> int:

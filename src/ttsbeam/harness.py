@@ -186,9 +186,9 @@ def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
     if t.scsi.num_users == 1:
-        # every slot's ||h_eff(v)||^2 as a quadratic form, solved in one batch
-        phis, bs = baselines.slot_quadratic_forms(t.ch.g, t.ch.h_r[:, 0], t.ch.h_d[:, 0])
-        u, _, _ = pdd_solve_batch(phis, bs, replace(baselines.ICSI_PDD, levels=levels))
+        # every slot's ||h_eff(v)||^2 as a rank-M factored form, solved in one batch
+        factors, bs = baselines.slot_quadratic_forms(t.ch.g, t.ch.h_r[:, 0], t.ch.h_d[:, 0])
+        u, _, _ = pdd_solve_batch(factors, bs, replace(baselines.ICSI_PDD, levels=levels))
         return _adaptive_precoders(t, u)
     designs = [baselines.icsi_per_slot(t.ch.slot(s), levels, t.spec.weights, t.power, t.noise)
                for s in range(t.spec.slots)]

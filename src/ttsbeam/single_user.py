@@ -17,6 +17,8 @@ from .channel import (
     CONTINUOUS,
     PhaseConfig,
     StatisticalCsi,
+    grid_index,
+    grid_points,
     phase_vector,
     quantize_phases,
 )
@@ -136,7 +138,8 @@ class PddResult:
 
 def default_rho0(phi: np.ndarray) -> np.ndarray:
     """1/(2*lambda_max(Phi)) scaled up 10x, or 1 without a positive eigenvalue; the
-    ball constraint keeps any rho0 valid. Batched over leading axes of phi."""
+    ball constraint keeps any rho0 valid. Batched over leading axes of phi. The
+    Gram matrix A^H A of a factor Phi = A A^H has the same lambda_max."""
     lam_max = np.linalg.eigvalsh(phi)[..., -1]
     return np.where(lam_max > 0, 10.0 / (2.0 * np.maximum(lam_max, 1e-300)), 1.0)
 
@@ -249,6 +252,7 @@ def bcd_solve(
         if np.max(np.abs(on_grid - v)) > 1e-9:
             raise ValueError("v0 must lie on the phase grid")
         v = on_grid
+    grid = None if levels == CONTINUOUS else grid_points(levels)
     obj = qf.quadratic(v)
     history = [obj]
     for _ in range(BCD_MAX_SWEEPS):
@@ -256,7 +260,8 @@ def bcd_solve(
             q = qf.phi[i] @ v - qf.phi[i, i] * v[i] + qf.b[i]
             if q == 0:
                 continue
-            v[i] = quantize_phases(np.array([np.angle(q)]), levels)[0]
+            theta = float(np.angle(q))
+            v[i] = np.exp(1j * theta) if grid is None else grid[grid_index(theta, levels)]
         new_obj = qf.quadratic(v)
         history.append(new_obj)
         if new_obj - obj <= BCD_REL_TOL * max(abs(obj), 1e-300):
@@ -266,8 +271,10 @@ def bcd_solve(
     return BcdResult(config=PhaseConfig(v, levels=levels), objective=obj, sweep_objectives=history)
 
 
-def _matvec(phis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (phis @ x[..., None])[..., 0]
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi x = A (A^H x) per row, for the factors a (S, N, M) of Phi = A A^H."""
+    ahx = (x.conj()[..., None, :] @ a).conj()          # (S, 1, M): (A^H x)^T
+    return (a @ ahx[..., 0, :, None])[..., 0]
 
 
 def _batch_quad(x: np.ndarray, phi_x: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -281,12 +288,14 @@ def pdd_solve_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the penalty solver on many independent quadratic forms at once.
 
-    `phis` is (S, N, N), `bs` is (S, N). Each slot follows `pdd_solve`'s
-    iterates up to rounding (batched and single-problem linear algebra round
-    differently, so objectives agree to a few ulps, not bit for bit); slots
-    that hit a stopping rule drop out of the working set so slow slots do not
-    cost full-batch compute. Returns (u, objectives, converged) with shapes
-    (S, N), (S,), (S,).
+    Despite its name, which the benchmark's tracer reads, `phis` holds the
+    (S, N, M) factors A_s of the forms Phi_s = A_s A_s^H, so no (S, N, N)
+    array is built; `bs` is (S, N). Each slot
+    follows `pdd_solve` on A_s A_s^H up to rounding (the factored products
+    round differently, so objectives agree to a few ulps, not bit for bit);
+    slots that hit a stopping rule drop out of the working set so slow slots
+    do not cost full-batch compute. Returns (u, objectives, converged) with
+    shapes (S, N), (S,), (S,).
     """
     phis = np.asarray(phis, dtype=complex)
     bs = np.asarray(bs, dtype=complex)
@@ -295,7 +304,7 @@ def pdd_solve_batch(
     v_all = np.ones((s, n), dtype=complex)
     u_all = quantize_phases(np.angle(v_all), params.levels)
     lam_all = np.zeros((s, n), dtype=complex)
-    rho_all = default_rho0(phis)
+    rho_all = default_rho0(np.swapaxes(phis.conj(), -1, -2) @ phis)
 
     best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
     best_u = u_all.copy()
@@ -325,7 +334,7 @@ def pdd_solve_batch(
         # Working rows: `live` maps them to positions within idx. A row whose
         # inner loop stops is saved and marked inactive; inactive rows are
         # dropped only once they are a quarter of the working set, because
-        # copying Phi costs more than a few wasted iterations.
+        # copying the factors costs more than a few wasted iterations.
         live = np.arange(idx.size)
         active = np.ones(idx.size, dtype=bool)
         for _ in range(params.max_inner):

@@ -11,6 +11,7 @@ from ttsbeam import (
     Scenario,
 )
 from ttsbeam.multi_user import WATER_LEVEL_TOL, WMMSE_MAX_ITERS, WMMSE_TOL, slot_rates
+from ttsbeam.single_user import BCD_MAX_SWEEPS, BCD_REL_TOL
 
 
 def cscg(rng, shape):
@@ -113,6 +114,52 @@ def reference_wmmse(h, weights_alpha, power, noise, w0=None):
             break
         obj = new_obj
     return w, mu, obj, trace, its
+
+
+def reference_nearest_level(theta, levels):
+    """Nearest grid index through floor and fraction, with explicit tie rules:
+    an independent check on the library's ceil(x - 1/2) rule, which must match
+    it bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.mod(theta, 2.0 * np.pi) * levels / (2.0 * np.pi)
+    base = np.floor(x)
+    frac = x - base
+    idx = np.where(frac > 0.5, base + 1.0, base)
+    # wrap tie between the last level and level 0 resolves to 0
+    idx = np.where((frac == 0.5) & (base == levels - 1), 0.0, idx)
+    return (idx.astype(int)) % levels
+
+
+def reference_bcd(qf, levels, v0=None):
+    """Coordinate descent with the library's start, sweep and stopping rule,
+    quantizing each coordinate through a one-element numpy array and
+    `reference_nearest_level`. Returns (v, objective, sweep objectives)."""
+
+    def quantize(theta):
+        if levels == 0:
+            return np.exp(1j * np.asarray(theta, dtype=float))
+        return np.exp(1j * (2.0 * np.pi * np.arange(levels) / levels))[
+            reference_nearest_level(theta, levels)]
+
+    n = qf.size
+    v = np.ones(n, dtype=complex) if v0 is None else np.asarray(v0, dtype=complex).copy()
+    if levels != 0:
+        v = quantize(np.angle(v))
+    obj = qf.quadratic(v)
+    history = [obj]
+    for _ in range(BCD_MAX_SWEEPS):
+        for i in range(n):
+            q = qf.phi[i] @ v - qf.phi[i, i] * v[i] + qf.b[i]
+            if q == 0:
+                continue
+            v[i] = quantize(np.array([np.angle(q)]))[0]
+        new_obj = qf.quadratic(v)
+        history.append(new_obj)
+        if new_obj - obj <= BCD_REL_TOL * max(abs(obj), 1e-300):
+            obj = new_obj
+            break
+        obj = new_obj
+    return v, obj, history
 
 
 def random_psd_qf(n, seed, rank=None):

@@ -15,7 +15,7 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam.channel import InstantaneousChannels, grid_angles
+from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
 
 from conftest import cscg, reference_rates, small_scenario
 
@@ -44,6 +44,15 @@ class TestRandomPhase:
         a = random_phase(4, 6, substream(5, "phase", 0, 0))
         b = random_phase(4, 6, substream(5, "phase", 0, 0))
         assert np.array_equal(a.v, b.v)
+
+    def test_grid_draws_pass_the_checked_constructor(self):
+        for levels in range(1, 17):
+            cfg = random_phase(levels, 1000, np.random.default_rng(levels))
+            assert cfg.levels == levels
+            assert np.array_equal(PhaseConfig(cfg.v, levels=levels).v, cfg.v)
+            # bit for bit the phases exp(1j * angle) of the same draws
+            idx = np.random.default_rng(levels).integers(0, levels, size=1000)
+            assert np.array_equal(cfg.v, np.exp(1j * grid_angles(levels)[idx]))
 
     def test_continuous_mode(self, rng):
         cfg = random_phase(0, 50, rng)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttsbeam import (
     build_quadratic_form,
@@ -13,9 +15,47 @@ from ttsbeam import (
     sample_instantaneous,
     substream,
 )
-from ttsbeam.channel import InstantaneousChannels, PhaseConfig, quantize_phases
+from ttsbeam.channel import (
+    InstantaneousChannels,
+    PhaseConfig,
+    grid_index,
+    nearest_level,
+    quantize_phases,
+)
 
-from conftest import cscg, small_scenario
+from conftest import cscg, reference_nearest_level, small_scenario
+
+
+def grid_steps(theta, levels):
+    """An angle in grid steps, computed as `nearest_level` does."""
+    return np.mod(theta, 2.0 * np.pi) * levels / (2.0 * np.pi)
+
+
+def tie_angle(k, levels):
+    """An angle within 16 ulps of the tie between levels k and k + 1 whose grid
+    steps are exactly k + 1/2, or the nearest float to the tie if none is."""
+    theta = (k + 0.5) * 2.0 * np.pi / levels
+    up = down = theta
+    for _ in range(16):
+        for t in (up, down):
+            if grid_steps(t, levels) == k + 0.5:
+                return float(t)
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+    return theta
+
+
+@st.composite
+def angles_and_levels(draw):
+    levels = draw(st.integers(1, 16))
+    angle = st.one_of(
+        st.floats(-10.0, 10.0),
+        st.floats(-1e12, 1e12),
+        st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi]),
+        st.integers(0, levels - 1).map(lambda k: tie_angle(k, levels)),    # incl. the wrap tie
+        st.integers(0, levels - 1).map(lambda k: -tie_angle(k, levels)),
+    )
+    theta = draw(angle | st.lists(angle, max_size=12).map(np.array))
+    return theta, levels
 
 
 class TestPathLoss:
@@ -282,6 +322,36 @@ class TestPhaseConfig:
         theta = np.array([np.pi / 4])
         out = quantize_phases(theta, 4)
         assert out[0] == pytest.approx(1.0 + 0.0j)
+
+
+class TestNearestLevel:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(case=angles_and_levels())
+    def test_matches_reference_and_brute_force(self, case):
+        theta, levels = case
+        got = nearest_level(theta, levels)
+        assert got.shape == np.shape(theta)
+        assert np.array_equal(got, reference_nearest_level(theta, levels))
+        # lowest index at the least wrap-around distance in grid steps; the wrap
+        # tie's lowest index is 0
+        dist = np.abs(grid_steps(np.asarray(theta), levels)[..., None] - np.arange(levels))
+        assert np.array_equal(got, np.argmin(np.minimum(dist, levels - dist), axis=-1))
+        # the one-float spelling BCD uses is the same rule
+        for t, i in zip(np.atleast_1d(theta), np.atleast_1d(got)):
+            assert grid_index(float(t), levels) == i
+
+    def test_exact_ties(self):
+        exact = 0
+        for levels in range(1, 17):
+            for k in range(levels):
+                theta = tie_angle(k, levels)
+                if grid_steps(theta, levels) != k + 0.5:
+                    continue
+                exact += 1
+                want = 0 if k == levels - 1 else k
+                assert nearest_level(theta, levels) == want
+                assert grid_index(theta, levels) == want
+        assert exact >= 100         # 104 of the 136 ties have an exact angle
 
 
 class TestQuantizePhases:

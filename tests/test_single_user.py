@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttsbeam import (
     PddParams,
@@ -17,9 +19,10 @@ from ttsbeam import (
     sample_batch,
     substream,
 )
-from ttsbeam.single_user import pdd_solve_batch
+from ttsbeam.channel import grid_angles
+from ttsbeam.single_user import default_rho0, pdd_solve_batch
 
-from conftest import cscg, random_psd_qf, small_scenario
+from conftest import cscg, random_psd_qf, reference_bcd, small_scenario
 
 
 class TestQuadraticForm:
@@ -230,6 +233,27 @@ class TestBcd:
         with pytest.raises(ValueError):
             bcd_solve(qf, levels=2, v0=np.exp(1j * np.array([0.3, 0.0, 0.0])))
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(n=st.integers(1, 10), rank=st.integers(1, 10), levels=st.sampled_from([0, 1, 2, 4, 8]),
+           seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-12.0, 6.0),
+           negate=st.booleans(), start=st.booleans())
+    def test_matches_reference_bit_for_bit(self, n, rank, levels, seed, log_scale, negate, start):
+        # negated forms are what the multi-user MSE surrogate hands over
+        qf = random_psd_qf(n, seed, rank)
+        scale = (-1.0 if negate else 1.0) * 10.0 ** log_scale
+        qf = QuadraticForm(phi=scale * qf.phi, b=scale * qf.b, const_term=0.0)
+        v0 = None
+        if start:
+            rng = np.random.default_rng(seed)
+            angles = (rng.uniform(0.0, 2.0 * np.pi, n) if levels == 0
+                      else grid_angles(levels)[rng.integers(0, levels, n)])
+            v0 = np.exp(1j * angles)
+        res = bcd_solve(qf, levels, v0=v0)
+        v, obj, history = reference_bcd(qf, levels, v0)
+        assert np.array_equal(res.config.v, v)
+        assert res.objective == obj
+        assert res.sweep_objectives == history
+
     def test_scaling_equivariance(self):
         qf = random_psd_qf(6, 55)
         base = bcd_solve(qf, levels=4).config.v
@@ -273,12 +297,26 @@ class TestBruteForce:
 
 class TestPddBatch:
     def test_matches_single_slot_solver(self):
-        params = PddParams(levels=2, c=0.8, max_inner=30)
-        qfs = [random_psd_qf(6, 500 + i) for i in range(12)]
-        phis = np.stack([q.phi for q in qfs])
-        bs = np.stack([q.b for q in qfs])
-        u, obj, conv = pdd_solve_batch(phis, bs, params)
-        for i, qf in enumerate(qfs):
-            single = pdd_solve(qf, params)
-            assert obj[i] == pytest.approx(single.objective, rel=1e-12)
-            assert conv[i] == single.converged
+        # the batch takes the N x r factors A of Phi = A A^H, rank r < N and r = N
+        n = 6
+        for levels in (0, 2, 4, 8):
+            params = PddParams(levels=levels, c=0.8, max_inner=30)
+            for rank in (2, 4, n):
+                rng = np.random.default_rng(500 + 10 * levels + rank)
+                factors = cscg(rng, (12, n, rank)) / np.sqrt(n)
+                bs = cscg(rng, (12, n))
+                _, obj, conv = pdd_solve_batch(factors, bs, params)
+                for a, b, o, c in zip(factors, bs, obj, conv):
+                    qf = QuadraticForm(phi=a @ a.conj().T, b=b, const_term=0.0)
+                    single = pdd_solve(qf, params)
+                    assert o == pytest.approx(single.objective, rel=1e-12)
+                    assert c == single.converged
+
+    def test_rho0_from_gram_matches_full_form(self):
+        rng = np.random.default_rng(3)
+        for rank in (1, 3, 6, 9):
+            a = cscg(rng, (5, 6, rank))
+            lam_max = np.linalg.eigvalsh(a @ np.swapaxes(a.conj(), -1, -2))[:, -1]
+            gram = np.swapaxes(a.conj(), -1, -2) @ a
+            assert default_rho0(gram) == pytest.approx(10.0 / (2.0 * lam_max), rel=1e-12)
+        assert default_rho0(np.zeros((1, 4, 4))) == 1.0
