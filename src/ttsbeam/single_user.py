@@ -290,12 +290,12 @@ def pdd_solve_batch(
 
     Despite its name, which the benchmark's tracer reads, `phis` holds the
     (S, N, M) factors A_s of the forms Phi_s = A_s A_s^H, so no (S, N, N)
-    array is built; `bs` is (S, N). Each slot
-    follows `pdd_solve` on A_s A_s^H up to rounding (the factored products
-    round differently, so objectives agree to a few ulps, not bit for bit);
-    slots that hit a stopping rule drop out of the working set so slow slots
-    do not cost full-batch compute. Returns (u, objectives, converged) with
-    shapes (S, N), (S,), (S,).
+    array is built; `bs` is (S, N). Each slot follows `pdd_solve` on
+    A_s A_s^H up to rounding (the factored products round differently, so
+    objectives agree to a few ulps, not bit for bit); slots that hit a
+    stopping rule drop out of the working set so slow slots do not cost
+    full-batch compute. Returns (u, objectives, converged) with shapes
+    (S, N), (S,), (S,).
     """
     phis = np.asarray(phis, dtype=complex)
     bs = np.asarray(bs, dtype=complex)
@@ -333,8 +333,8 @@ def pdd_solve_batch(
         al_prev = al_of(v, phi_v, u)
         # Working rows: `live` maps them to positions within idx. A row whose
         # inner loop stops is saved and marked inactive; inactive rows are
-        # dropped only once they are a quarter of the working set, because
-        # copying the factors costs more than a few wasted iterations.
+        # dropped only once they are a quarter of the working set, so the
+        # working arrays are not copied at every stop.
         live = np.arange(idx.size)
         active = np.ones(idx.size, dtype=bool)
         for _ in range(params.max_inner):
