@@ -16,7 +16,8 @@ from .channel import (
     StatisticalCsi,
     effective_channels,
 )
-from .multi_user import SscaParams, WmmseState, precoders, slot_rates, ssca_run, wmmse_solve
+from .multi_user import SscaParams, WmmseState, precoders, slot_rates, ssca_run, wmmse_solve_batch
+from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .single_user import (
     PddParams,
     QuadraticForm,
@@ -79,7 +80,8 @@ def naive_icsi(
     power: float,
     noise: np.ndarray,
 ) -> PhaseConfig:
-    """Phases designed from the first slot's realization only, then frozen."""
+    """Phases designed from the first slot's realization only, then frozen: the
+    one-slot case of `icsi_per_slot`."""
     return icsi_per_slot(first_slot, levels, weights_alpha, power, noise).config
 
 
@@ -128,11 +130,21 @@ def _mse_quadratic_form(state: WmmseState, ch: InstantaneousChannels) -> Quadrat
 
 @dataclass
 class IcsiDesign:
-    """Per-slot joint design: phases, precoders, and the AO objective path."""
+    """Per-slot joint designs: phases v (..., N) on the `levels` grid, precoders
+    w (..., K, M), and the alternating-optimization objectives of every slot,
+    slot after slot."""
 
-    config: PhaseConfig
+    v: np.ndarray
     w: np.ndarray
+    levels: int
     round_objectives: list[float] = field(default_factory=list)
+
+    @property
+    def config(self) -> PhaseConfig:
+        """The phases of a one-slot design."""
+        if self.v.ndim != 1:
+            raise ValueError("a slot stack has one phase vector per slot; read v")
+        return PhaseConfig(self.v, levels=self.levels)
 
 
 def icsi_per_slot(
@@ -142,38 +154,54 @@ def icsi_per_slot(
     power: float,
     noise: np.ndarray,
 ) -> IcsiDesign:
-    """Joint per-slot design from this slot's full realization.
+    """Joint design of each slot from its full realization; ch is one slot or a
+    stack with the slot axis first.
 
     Multiuser: alternate precoder optimization at fixed phases with exact
-    coordinate minimization of the weighted-MSE quadratic in v. Single user:
-    maximize the effective channel power directly, then transmit MRT.
+    coordinate minimization of the weighted-MSE quadratic in v. Each round is
+    one batched WMMSE solve over the slots still alternating, then one BCD
+    solve per slot; a slot stops on its own rule, so its design does not
+    depend on the rest of the stack. Single user: maximize the effective
+    channel power directly, then transmit MRT.
     """
+    one_slot = ch.g.ndim == 2
+    if one_slot:
+        ch = InstantaneousChannels(g=ch.g[None], h_r=ch.h_r[None], h_d=ch.h_d[None])
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
+    n_slots, n = ch.h_r.shape[0], ch.h_r.shape[-1]
     if ch.num_users == 1:
         params = replace(ICSI_PDD, levels=levels)
-        config = pdd_solve(instantaneous_quadratic_form(ch), params).config
-        h = effective_channels(config.v, ch)
+        v = np.stack([pdd_solve(instantaneous_quadratic_form(ch.slot(s)), params).config.v
+                      for s in range(n_slots)])
+        h = effective_channels(v, ch)
         w = precoders(h, weights_alpha, power, noise)
-        rate = float(np.asarray(weights_alpha) @ slot_rates(h, w, noise)[0])
-        return IcsiDesign(config=config, w=w, round_objectives=[rate])
-
-    n = ch.h_r.shape[1]
-    v = np.ones(n, dtype=complex)  # phase 0 lies on every grid
-    state = None
-    prev_obj = None
-    objectives: list[float] = []
-    for _ in range(ICSI_MAX_ROUNDS):
-        h_eff = effective_channels(v, ch)
-        state = wmmse_solve(h_eff, weights_alpha, power, noise,
-                            w0=None if state is None else state.w)
-        objectives.append(state.objective)
-        if (prev_obj is not None
-                and state.objective - prev_obj <= ICSI_REL_TOL * max(abs(prev_obj), 1e-12)):
-            break
-        prev_obj = state.objective
-        qf = _mse_quadratic_form(state, ch)
-        v = bcd_solve(qf, levels, v0=v).config.v
-    h_eff = effective_channels(v, ch)
-    state = wmmse_solve(h_eff, weights_alpha, power, noise, w0=state.w)
-    return IcsiDesign(config=PhaseConfig(v, levels=levels), w=state.w,
-                      round_objectives=objectives)
+        objectives = [float(np.asarray(weights_alpha) @ r) for r in slot_rates(h, w, noise)[0]]
+    else:
+        v = np.ones((n_slots, n), dtype=complex)  # phase 0 lies on every grid
+        # zero precoders are no warm start: the first round starts WMMSE cold
+        w = np.zeros((n_slots, ch.num_users, ch.g.shape[-1]), dtype=complex)
+        slot_objectives: list[list[float]] = [[] for _ in range(n_slots)]
+        active = list(range(n_slots))
+        for _ in range(ICSI_MAX_ROUNDS):
+            states = wmmse_solve_batch(effective_channels(v, ch)[active], weights_alpha,
+                                       power, noise, w0=w[active])
+            still = []
+            for s, state in zip(active, states):
+                w[s] = state.w
+                objs = slot_objectives[s]
+                objs.append(state.objective)
+                if (len(objs) > 1
+                        and objs[-1] - objs[-2] <= ICSI_REL_TOL * max(abs(objs[-2]), 1e-12)):
+                    continue
+                qf = _mse_quadratic_form(state, ch.slot(s))
+                v[s] = bcd_solve(qf, levels, v0=v[s]).config.v
+                still.append(s)
+            active = still
+            if not active:
+                break
+        states = wmmse_solve_batch(effective_channels(v, ch), weights_alpha, power, noise, w0=w)
+        w = np.stack([state.w for state in states])
+        objectives = [obj for objs in slot_objectives for obj in objs]
+    if one_slot:
+        v, w = v[0], w[0]
+    return IcsiDesign(v=v, w=w, levels=levels, round_objectives=objectives)

@@ -357,9 +357,12 @@ def nearest_level(theta: np.ndarray, levels: int) -> np.ndarray:
     In grid steps x = (theta mod 2*pi) * L / (2*pi), the index is ceil(x - 1/2)
     mod L. x - 1/2 is exact, so an exact tie resolves to the lower index, and
     the wrap tie x = L - 1/2 resolves to 0. `grid_index` is the same rule on
-    one Python float.
+    one Python float. A NaN or infinite angle raises FloatingPointError
+    instead of landing on an arbitrary grid point.
     """
     x = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi) * levels / (2.0 * np.pi)
+    if np.isnan(x).any():
+        raise FloatingPointError("cannot quantize an angle that is not finite")
     return np.where(x == levels - 0.5, 0, np.ceil(x - 0.5).astype(int) % levels)
 
 

@@ -32,11 +32,13 @@ from .config import (
 )
 from .harness import ExperimentError, emit_csv, run_experiment
 from .multi_user import (
+    WATER_LEVEL_TOL,
     SscaParams,
     instantaneous_rates,
     rate_jacobian,
     ssca_run,
     wmmse_solve,
+    wmmse_solve_batch,
 )
 from .rng import substream
 from .single_user import (
@@ -207,6 +209,18 @@ def _validate(args) -> int:
     state1 = wmmse_solve(h1, np.ones(1), 1.0, np.array([0.1]))
     ok &= _check("single-user precoder matches matched filter",
                  abs(state1.objective - mrt_rate(h1[0], 1.0, 0.1)) <= 1e-6)
+
+    rng_s = substream(seed, "validate", "wmmse-stack")
+    # channel scales over two decades, so the items stop at different iterations
+    hs = (rng_s.standard_normal((4, 3, 4)) + 1j * rng_s.standard_normal((4, 3, 4))) / np.sqrt(2)
+    hs *= np.logspace(-1.0, 1.0, 4)[:, None, None]
+    stacked = wmmse_solve_batch(hs, np.ones(3), 1.0, np.full(3, 0.1))
+    alone = [wmmse_solve(hi, np.ones(3), 1.0, np.full(3, 0.1)) for hi in hs]
+    same = all(np.array_equal(a.w, b.w) and a.iterations == b.iterations
+               for a, b in zip(stacked, alone))
+    within = all(np.sum(np.abs(a.w) ** 2) <= 1.0 + WATER_LEVEL_TOL + 1e-14 for a in stacked)
+    ok &= _check("stacked precoders match one-by-one", same and within,
+                 f"iterations {[a.iterations for a in stacked]}")
 
     rng_j = substream(seed, "validate", "jac")
     n, m, k = 5, 3, 2

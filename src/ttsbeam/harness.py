@@ -190,10 +190,8 @@ def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
         factors, bs = baselines.slot_quadratic_forms(t.ch.g, t.ch.h_r[:, 0], t.ch.h_d[:, 0])
         u, _, _ = pdd_solve_batch(factors, bs, replace(baselines.ICSI_PDD, levels=levels))
         return _adaptive_precoders(t, u)
-    designs = [baselines.icsi_per_slot(t.ch.slot(s), levels, t.spec.weights, t.power, t.noise)
-               for s in range(t.spec.slots)]
-    return _fixed_precoders(t, np.stack([d.config.v for d in designs]),
-                            np.stack([d.w for d in designs]))
+    design = baselines.icsi_per_slot(t.ch, levels, t.spec.weights, t.power, t.noise)
+    return _fixed_precoders(t, design.v, design.w)
 
 
 SCHEMES = {

@@ -41,13 +41,19 @@ def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndar
     the (..., K) rates and the cross gains c[..., k, j] = h_k^H w_j.
     """
     c = h.conj() @ np.swapaxes(w, -1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _rates_from_gains(c, noise)[0], c
+
+
+def _rates_from_gains(c: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rates, received power plus noise gamma_k and own power |c_kk|^2 from the
+    cross gains c (..., K, K). Callers ignore numpy's divide and invalid
+    warnings: a user without signal has rate 0, and a NaN channel stays NaN."""
     powers = np.abs(c) ** 2
     total = np.add.reduce(powers, axis=-1) + noise
-    own = powers.diagonal(axis1=-2, axis2=-1)
-    # a user without signal has rate 0; a NaN channel stays NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(own == 0, 0.0, own / (total - own))
-    return np.log2(1.0 + sinr), c
+    own = powers.diagonal(0, -2, -1)
+    sinr = np.where(own == 0, 0.0, own / (total - own))
+    return np.log2(1.0 + sinr), total, own
 
 
 def instantaneous_rates(v, w: np.ndarray, ch: InstantaneousChannels,
@@ -102,31 +108,19 @@ class WmmseState:
     iterations: int = 0
 
 
-def _solve_power_split(
-    h_t: np.ndarray, h_conj: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float
-) -> tuple[np.ndarray, float]:
-    """Precoders w_k = scale_k (A + mu I)^{-1} h_k with A = h^H diag(coef) h.
+def _water_level(d: list[float], c: list[float], floor: float, power: float) -> float:
+    """Smallest mu >= 0 with sum_i c_i / (d_i + mu)^2 within WATER_LEVEL_TOL * P of P.
 
-    Takes h.T and h.conj(), which the WMMSE loop computes once. mu >= 0 is
-    chosen so the total power meets the budget with complementary slackness:
-    mu = 0 when the unconstrained solution is feasible, otherwise a monotone
-    root search drives sum ||w_k||^2 to P, within WATER_LEVEL_TOL * P.
-    Eigenvalues at or below 1e-15 of the largest count as zero.
+    Runs on Python floats: it is called once per item per WMMSE iteration on M
+    terms, plain floats cost far less than numpy calls, and a left-to-right
+    sum equals np.add.reduce bit for bit below 8 terms. Terms with
+    d_i + mu <= floor are dropped; since d >= 0, only mu <= floor can drop any.
+    (A vectorized search over a stack would move bits: np.power(p, 1.5)
+    differs from p ** 1.5 in the last bit for some p.)
     """
     tol = WATER_LEVEL_TOL * power
-    a_mat = (h_t * coef) @ h_conj
-    d, q_mat = np.linalg.eigh(a_mat)
-    d = np.maximum(d, 0.0)
-    t = q_mat.conj().T @ h_t                     # (M, K), t[:, k] = Q^H h_k
-    c_i = np.add.reduce(np.abs(t) ** 2 * (np.abs(scale) ** 2)[None, :], axis=1)
+    pairs = list(zip(d, c))
 
-    floor = d.max(initial=0.0) * 1e-15
-    d_list = d.tolist()
-    pairs = list(zip(d_list, c_i.tolist()))
-
-    # called several times per WMMSE iteration on M terms: plain floats cost
-    # far less than numpy calls, and a left-to-right sum equals np.add.reduce
-    # bit for bit below 8 terms. Since d >= 0, only mu <= floor can drop terms.
     def total_power(mu: float) -> tuple[float, float]:
         p = slope = 0.0
         for di, ci in pairs:
@@ -151,10 +145,127 @@ def _solve_power_split(
             h_der = -dp / (2.0 * p ** 1.5)
             mu = max(mu - h_val / h_der, 0.0)
             p, dp = total_power(mu)
+    return mu
 
-    inv = np.array([1.0 / (di + mu) if di + mu > floor else 0.0 for di in d_list])
-    w = (q_mat @ (t * inv[:, None])).T * scale[:, None]
-    return w, mu
+
+def _solve_power_split(
+    h_t: np.ndarray, h_conj: np.ndarray, coef: np.ndarray, scale: np.ndarray, power: float
+) -> tuple[np.ndarray, list[float]]:
+    """Precoders w_k = scale_k (A + mu I)^{-1} h_k with A = h^H diag(coef) h, per item.
+
+    Takes h^T (S, M, K) and h^* (S, K, M), which the WMMSE loop computes once,
+    with coef and scale (S, K); returns w (S, K, M) and the S water levels.
+    The linear algebra runs on the whole stack (one batched eigh); each item's
+    mu >= 0 meets its power budget with complementary slackness: mu = 0 when
+    the unconstrained solution is feasible, otherwise a monotone root search
+    drives sum ||w_k||^2 to P, within WATER_LEVEL_TOL * P. Eigenvalues at or
+    below 1e-15 of the largest count as zero.
+    """
+    a_mat = (h_t * coef[:, None, :]) @ h_conj
+    d, q_mat = np.linalg.eigh(a_mat)
+    d = np.maximum(d, 0.0)
+    t = q_mat.conj().swapaxes(1, 2) @ h_t             # t[s, :, k] = Q_s^H h_{s,k}
+    c_i = np.add.reduce(np.abs(t) ** 2 * (np.abs(scale) ** 2)[:, None, :], axis=2)
+
+    mus, inv = [], []
+    for di, ci in zip(d.tolist(), c_i.tolist()):
+        floor = max(di) * 1e-15                          # d >= 0
+        mu = _water_level(di, ci, floor, power)
+        mus.append(mu)
+        inv.append([1.0 / (x + mu) if x + mu > floor else 0.0 for x in di])
+    w = (q_mat @ (t * np.array(inv)[:, :, None])).swapaxes(1, 2) * scale[:, :, None]
+    return w, mus
+
+
+def _wmmse_start(h: np.ndarray, norms: np.ndarray, power: float, w0) -> np.ndarray:
+    """A usable warm start scaled into the budget, else MRT directions with an
+    equal power split (zero channels get nothing)."""
+    if w0 is not None and np.isfinite(w0).all() and np.linalg.norm(w0) > 0:
+        w = np.asarray(w0, dtype=complex).copy()
+        excess = np.sum(np.abs(w) ** 2) / power
+        if excess > 1.0:
+            w /= np.sqrt(excess)
+        return w
+    w = np.zeros(h.shape, dtype=complex)
+    active = norms > 0
+    w[active] = h[active] / norms[active, None] * np.sqrt(power / max(active.sum(), 1))
+    return w
+
+
+def wmmse_solve_batch(
+    h: np.ndarray,
+    weights_alpha: np.ndarray,
+    power: float,
+    noise: np.ndarray,
+    w0: np.ndarray | None = None,
+) -> list[WmmseState]:
+    """Weighted sum-rate maximization for each item of a stack h (S, K, M).
+
+    Alternates (i) MMSE receive scalars, (ii) MSE weights alpha_k / e_k,
+    (iii) regularized-inverse precoders whose water level mu meets the power
+    budget (Newton steps on 1/sqrt(p(mu))), until the weighted sum-rate
+    improves by less than WMMSE_TOL relative. The items are independent
+    problems sharing the weights, budget and noise: the linear algebra runs on
+    the stack, and each item keeps its own start (w0[s] if usable, else MRT)
+    and stopping rule and leaves the working set when it stops, so an item's
+    result does not depend on the rest of the stack. Returns one state per item.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    n_items, k_users, m = h.shape
+    weights_alpha = np.broadcast_to(np.asarray(weights_alpha, dtype=float), (k_users,))
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
+
+    norms = np.linalg.norm(h, axis=-1)
+    out: list[WmmseState | None] = [None] * n_items
+    live, starts = [], []
+    for s in range(n_items):
+        if not norms[s].any():
+            out[s] = WmmseState(w=np.zeros((k_users, m), dtype=complex),
+                                u_rx=np.zeros(k_users, dtype=complex), mse=np.ones(k_users),
+                                weights=weights_alpha.copy(), mu=0.0, objective=0.0,
+                                trace=[0.0], iterations=0)
+        else:
+            live.append(s)
+            starts.append(_wmmse_start(h[s], norms[s], power, None if w0 is None else w0[s]))
+    if not live:
+        return out
+
+    hs = h if len(live) == n_items else h[live]
+    h_t, h_conj = hs.swapaxes(1, 2), hs.conj()
+    # one errstate for the whole loop: the rate formula's 0/0 is rate 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = h_conj @ np.array(starts).swapaxes(1, 2)
+        rates, gamma, own = _rates_from_gains(c, noise)
+        objs = [float(weights_alpha @ r) for r in rates]
+        traces = [[obj] for obj in objs]
+        for its in range(1, WMMSE_MAX_ITERS + 1):
+            u = c.diagonal(0, 1, 2) / gamma
+            mse = np.maximum(1.0 - own / gamma, 1e-300)
+            mw = weights_alpha / mse
+            w, mus = _solve_power_split(h_t, h_conj, mw * np.abs(u) ** 2, mw * u.conj(), power)
+            c = h_conj @ w.swapaxes(1, 2)
+            rates, gamma, own = _rates_from_gains(c, noise)
+            keep = []
+            for j, r in enumerate(rates):
+                obj, new_obj = objs[j], float(weights_alpha @ r)
+                traces[j].append(new_obj)
+                objs[j] = new_obj
+                if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
+                    out[live[j]] = WmmseState(w=w[j], u_rx=u[j], mse=mse[j], weights=mw[j],
+                                              mu=mus[j], objective=new_obj, trace=traces[j],
+                                              iterations=its)
+                else:
+                    keep.append(j)
+            if len(keep) < len(live):
+                if not keep:
+                    break
+                # stopped items leave the working set
+                live = [live[j] for j in keep]
+                objs = [objs[j] for j in keep]
+                traces = [traces[j] for j in keep]
+                hs, c, gamma, own = hs[keep], c[keep], gamma[keep], own[keep]
+                h_t, h_conj = hs.swapaxes(1, 2), hs.conj()
+    return out
 
 
 def wmmse_solve(
@@ -164,78 +275,23 @@ def wmmse_solve(
     noise: np.ndarray,
     w0: np.ndarray | None = None,
 ) -> WmmseState:
-    """Weighted sum-rate maximization over the effective channels h (K, M).
-
-    Alternates (i) MMSE receive scalars, (ii) MSE weights alpha_k / e_k,
-    (iii) regularized-inverse precoders whose water level mu meets the power
-    budget (Newton steps on 1/sqrt(p(mu))), until the weighted sum-rate
-    improves by less than WMMSE_TOL relative.
-    """
-    h = np.asarray(h, dtype=complex)
-    k_users, m = h.shape
-    weights_alpha = np.broadcast_to(np.asarray(weights_alpha, dtype=float), (k_users,))
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
-
-    norms = np.linalg.norm(h, axis=1)
-    if np.all(norms == 0):
-        zeros = np.zeros((k_users, m), dtype=complex)
-        return WmmseState(w=zeros, u_rx=np.zeros(k_users, dtype=complex),
-                          mse=np.ones(k_users), weights=weights_alpha.copy(),
-                          mu=0.0, objective=0.0, trace=[0.0], iterations=0)
-
-    if w0 is not None and np.isfinite(w0).all() and np.linalg.norm(w0) > 0:
-        w = np.asarray(w0, dtype=complex).copy()
-        excess = np.sum(np.abs(w) ** 2) / power
-        if excess > 1.0:
-            w /= np.sqrt(excess)
-    else:
-        # MRT directions with an equal power split (zero channels get nothing)
-        w = np.zeros((k_users, m), dtype=complex)
-        active = norms > 0
-        w[active] = h[active] / norms[active, None] * np.sqrt(power / max(active.sum(), 1))
-
-    rates, c = slot_rates(h, w, noise)
-    obj = float(weights_alpha @ rates)
-    trace = [obj]
-    u = np.zeros(k_users, dtype=complex)
-    mse = np.ones(k_users)
-    mw = weights_alpha.copy()
-    mu = 0.0
-    its = 0
-    h_t, h_conj = h.T, h.conj()
-    for its in range(1, WMMSE_MAX_ITERS + 1):
-        powers = np.abs(c) ** 2
-        gamma = np.add.reduce(powers, axis=1) + noise
-        u = c.diagonal() / gamma
-        mse = 1.0 - powers.diagonal() / gamma
-        mse = np.maximum(mse, 1e-300)
-        mw = weights_alpha / mse
-        coef = mw * np.abs(u) ** 2
-        scale = mw * u.conj()
-        w, mu = _solve_power_split(h_t, h_conj, coef, scale, power)
-        rates, c = slot_rates(h, w, noise)
-        new_obj = float(weights_alpha @ rates)
-        trace.append(new_obj)
-        if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12):
-            obj = new_obj
-            break
-        obj = new_obj
-    return WmmseState(w=w, u_rx=u, mse=mse, weights=mw, mu=mu,
-                      objective=obj, trace=trace, iterations=its)
+    """Weighted sum-rate maximization over the effective channels h (K, M): the
+    one-item case of `wmmse_solve_batch`, warm-started from w0 (K, M) if usable."""
+    return wmmse_solve_batch(np.asarray(h)[None], weights_alpha, power, noise,
+                             w0=None if w0 is None else np.asarray(w0)[None])[0]
 
 
 def precoders(h: np.ndarray, weights_alpha: np.ndarray, power: float, noise: np.ndarray) -> np.ndarray:
     """Fast-timescale precoders for effective channels h (..., K, M), per item.
 
-    One user gets MRT; more users get WMMSE, solved item by item through the
-    module-level `wmmse_solve` so that wrapping that name sees every call.
+    One user gets MRT; more users get WMMSE, every item of the stack in one
+    `wmmse_solve_batch` call.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[-2] == 1:
         return mrt_precoder(h, power)
-    items = h.reshape(-1, *h.shape[-2:])
-    w = [wmmse_solve(hi, weights_alpha, power, noise).w for hi in items]
-    return np.reshape(w, h.shape)
+    states = wmmse_solve_batch(h.reshape(-1, *h.shape[-2:]), weights_alpha, power, noise)
+    return np.reshape([st.w for st in states], h.shape)
 
 
 # ---------------------------------------------------------------------------

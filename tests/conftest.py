@@ -10,7 +10,15 @@ from ttsbeam import (
     RicianFactors,
     Scenario,
 )
-from ttsbeam.multi_user import WATER_LEVEL_TOL, WMMSE_MAX_ITERS, WMMSE_TOL, slot_rates
+from ttsbeam.baselines import ICSI_MAX_ROUNDS, ICSI_REL_TOL, _mse_quadratic_form
+from ttsbeam.channel import effective_channels
+from ttsbeam.multi_user import (
+    WATER_LEVEL_TOL,
+    WMMSE_MAX_ITERS,
+    WMMSE_TOL,
+    WmmseState,
+    slot_rates,
+)
 from ttsbeam.single_user import BCD_MAX_SWEEPS, BCD_REL_TOL
 
 
@@ -77,13 +85,19 @@ def reference_wmmse(h, weights_alpha, power, noise, w0=None):
     """WMMSE with the same start, updates and stopping rule as the library,
     recomputing h.T and h.conj() in every iteration and splitting power with
     `reference_power_split`. Returns (w, mu, objective, trace, iterations)."""
+    return _reference_wmmse(h, weights_alpha, power, noise, w0)[:5]
+
+
+def _reference_wmmse(h, weights_alpha, power, noise, w0=None):
+    """`reference_wmmse`, followed by the final receive scalars and MSE weights."""
     h = np.asarray(h, dtype=complex)
     k_users, m = h.shape
     weights_alpha = np.broadcast_to(np.asarray(weights_alpha, dtype=float), (k_users,))
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
     norms = np.linalg.norm(h, axis=1)
     if np.all(norms == 0):
-        return np.zeros((k_users, m), dtype=complex), 0.0, 0.0, [0.0], 0
+        return (np.zeros((k_users, m), dtype=complex), 0.0, 0.0, [0.0], 0,
+                np.zeros(k_users, dtype=complex), weights_alpha.copy())
     if w0 is not None and np.isfinite(w0).all() and np.linalg.norm(w0) > 0:
         w = np.asarray(w0, dtype=complex).copy()
         excess = np.sum(np.abs(w) ** 2) / power
@@ -99,6 +113,7 @@ def reference_wmmse(h, weights_alpha, power, noise, w0=None):
     trace = [obj]
     mu = 0.0
     its = 0
+    u, mw = np.zeros(k_users, dtype=complex), weights_alpha.copy()
     for its in range(1, WMMSE_MAX_ITERS + 1):
         powers = np.abs(c) ** 2
         gamma = np.add.reduce(powers, axis=1) + noise
@@ -113,7 +128,29 @@ def reference_wmmse(h, weights_alpha, power, noise, w0=None):
             obj = new_obj
             break
         obj = new_obj
-    return w, mu, obj, trace, its
+    return w, mu, obj, trace, its, u, mw
+
+
+def reference_icsi_per_slot(ch, levels, weights_alpha, power, noise):
+    """The multi-user per-slot design of one slot, written as one slot's own
+    loop of alternating rounds on `reference_wmmse` and `reference_bcd`: an
+    independent check on the library's slot-stack rounds, which must match it
+    bit for bit. Returns (v, w, round objectives)."""
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
+    v = np.ones(ch.h_r.shape[1], dtype=complex)
+    w = None
+    objectives = []
+    for _ in range(ICSI_MAX_ROUNDS):
+        w, _, obj, _, _, u, mw = _reference_wmmse(effective_channels(v, ch), weights_alpha,
+                                                  power, noise, w0=w)
+        objectives.append(obj)
+        prev = objectives[-2] if len(objectives) > 1 else None
+        if prev is not None and obj - prev <= ICSI_REL_TOL * max(abs(prev), 1e-12):
+            break
+        state = WmmseState(w=w, u_rx=u, mse=None, weights=mw, mu=0.0, objective=obj)
+        v = reference_bcd(_mse_quadratic_form(state, ch), levels, v0=v)[0]
+    w = reference_wmmse(effective_channels(v, ch), weights_alpha, power, noise, w0=w)[0]
+    return v, w, objectives
 
 
 def reference_nearest_level(theta, levels):

@@ -10,6 +10,7 @@ from ttsbeam import (
     naive_icsi,
     no_irs_rate,
     random_phase,
+    sample_batch,
     sample_instantaneous,
     single_timescale,
     substream,
@@ -17,7 +18,7 @@ from ttsbeam import (
 )
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
 
-from conftest import cscg, reference_rates, small_scenario
+from conftest import cscg, reference_icsi_per_slot, reference_rates, small_scenario
 
 
 class TestRandomPhase:
@@ -248,3 +249,35 @@ class TestIcsiPerSlot:
                 best = max(best, obj)
             hits += got >= 0.95 * best
         assert hits >= int(0.85 * trials)
+
+    def test_stack_matches_per_slot_reference(self):
+        # K = 3 slots that stop after different numbers of rounds: each slot of
+        # the stack is one slot's own loop on the reference WMMSE and BCD
+        scen = small_scenario(users=3, n_shape=(2, 3), m=3)
+        scsi = build_scsi(scen, substream(47, "s"))
+        ch = InstantaneousChannels(*sample_batch(scsi, 6, substream(47, "slots")))
+        p, noise, alpha = scen.transmit_power, scen.noise_powers, np.array([1.0, 2.0, 0.5])
+        for levels in (2, 4):
+            design = icsi_per_slot(ch, levels, alpha, p, noise)
+            refs = [reference_icsi_per_slot(ch.slot(s), levels, alpha, p, noise)
+                    for s in range(6)]
+            assert len({len(objs) for _, _, objs in refs}) > 1
+            for s, (v, w, _) in enumerate(refs):
+                assert np.array_equal(design.v[s], v)
+                assert np.array_equal(design.w[s], w)
+            assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
+
+    @pytest.mark.parametrize("users", [1, 3])
+    def test_naive_icsi_is_the_one_slot_case(self, users):
+        scen = small_scenario(users=users, n_shape=(2, 3), m=3)
+        scsi = build_scsi(scen, substream(48, "s"))
+        ch = InstantaneousChannels(*sample_batch(scsi, 4, substream(48, "slots")))
+        p, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(users)
+        stack = icsi_per_slot(ch, 2, alpha, p, noise)
+        assert stack.v.shape == (4, 6) and stack.w.shape == (4, users, 3)
+        for s in range(4):
+            one = icsi_per_slot(ch.slot(s), 2, alpha, p, noise)
+            assert np.array_equal(one.v, stack.v[s]) and np.array_equal(one.w, stack.w[s])
+        assert np.array_equal(naive_icsi(ch.slot(0), 2, alpha, p, noise).v, stack.v[0])
+        with pytest.raises(ValueError):
+            stack.config

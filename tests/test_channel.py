@@ -16,6 +16,7 @@ from ttsbeam import (
     substream,
 )
 from ttsbeam.channel import (
+    GRID_ANGLE_TOL,
     InstantaneousChannels,
     PhaseConfig,
     grid_index,
@@ -162,6 +163,19 @@ class TestPsdSqrt:
         phi = np.diag([1.0, -5e-11])
         s = psd_sqrt(phi)
         assert s[1, 1] == 0.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(n_h=st.integers(1, 8), n_v=st.integers(1, 5), r_h=st.floats(0.99, 1.0),
+           r_v=st.floats(0.99, 1.0), kron=st.booleans())
+    def test_near_full_correlation(self, n_h, n_v, r_h, r_v, kron):
+        # as r -> 1 all but one eigenvalue go to 0, and rounding makes some negative
+        if kron:
+            phi = kron_correlation(exp_correlation(n_h, r_h), exp_correlation(n_v, r_v))
+        else:
+            phi = exp_correlation(n_h * n_v, r_h)
+        s = psd_sqrt(phi)
+        assert np.linalg.norm(s - s.T) <= 1e-12 * np.linalg.norm(s)
+        assert np.linalg.norm(s @ s - phi) <= 1e-8 * np.linalg.norm(phi)
 
 
 class TestBuildScsi:
@@ -317,6 +331,21 @@ class TestPhaseConfig:
             PhaseConfig(np.exp(1j * np.array([0.3])), levels=2)
         PhaseConfig(np.exp(1j * np.array([0.0, np.pi])), levels=2)
 
+    @settings(derandomize=True, deadline=None)
+    @given(levels=st.integers(1, 16), data=st.data())
+    def test_grid_membership_property(self, levels, data):
+        idx = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=1, max_size=8)))
+        turns = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=idx.size,
+                                            max_size=idx.size)))
+        angles = 2.0 * np.pi * idx / levels + 2.0 * np.pi * turns
+        PhaseConfig(np.exp(1j * angles), levels=levels)
+        # one phase moved off the grid by more than the tolerance, at most half a step
+        i = data.draw(st.integers(0, idx.size - 1))
+        log_off = data.draw(st.floats(np.log10(2.0 * GRID_ANGLE_TOL), np.log10(np.pi / levels)))
+        angles[i] += data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** log_off
+        with pytest.raises(ValueError):
+            PhaseConfig(np.exp(1j * angles), levels=levels)
+
     def test_quantize_tie_prefers_lowest_index(self):
         # exactly halfway between grid points 0 and 1 for L = 4
         theta = np.array([np.pi / 4])
@@ -352,6 +381,19 @@ class TestNearestLevel:
                 assert nearest_level(theta, levels) == want
                 assert grid_index(theta, levels) == want
         assert exact >= 100         # 104 of the 136 ties have an exact angle
+
+
+    # np.mod warns on an infinite angle before nearest_level sees the NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("theta", [np.array([np.nan, 1.0]), np.array([1.0, np.inf]),
+                                       np.array([[0.5, -np.inf]]), np.nan])
+    def test_non_finite_angle_raises(self, theta):
+        # a NaN used to map to an arbitrary level: [nan, 1.0] at L = 4 gave [0, 1]
+        for levels in (1, 3, 4):
+            with pytest.raises(FloatingPointError):
+                nearest_level(theta, levels)
+            with pytest.raises(FloatingPointError):
+                quantize_phases(theta, levels)
 
 
 class TestQuantizePhases:

@@ -23,7 +23,7 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam.multi_user import _solve_power_split, precoders
+from ttsbeam.multi_user import _solve_power_split, precoders, wmmse_solve_batch
 
 from conftest import cscg, reference_power_split, reference_wmmse, small_scenario
 
@@ -48,6 +48,43 @@ def wmmse_problems(draw, antennas=st.integers(1, 7), log_noise=st.floats(-15.0, 
     received = power * np.sum(np.abs(h) ** 2, axis=1).mean()
     noise = noise_ratio * received * rng.uniform(0.5, 2.0, k)
     w0 = None if log_w0 is None else cscg(rng, (k, m)) * np.sqrt(power / k) * 10.0 ** log_w0
+    return h, rng.uniform(0.5, 2.0, k), power, noise, w0
+
+
+@st.composite
+def wmmse_stacks(draw, log_noise=st.floats(-5.0, 3.0)):
+    """(h, alpha, power, noise, w0) for a stack of S <= 6 items sharing K <= 6
+    users (K > M allowed), M <= 7, the weights, the budget and the noise
+    (10**log_noise times the mean received power). Each item has its own
+    channel scale over two decades, so items stop at different iterations;
+    some items are all zero and some rows are zero. w0 is absent, or per item
+    a warm start, zero or NaN.
+
+    The default noise floor keeps the SINR below about 1e8: above that,
+    total - own in the rate formula cancels, and the objective recomputed with
+    the interference summed apart drifts past 1e-9 relative (at K = 1 and a
+    noise of 5e-10 times the received power it read 4e-9)."""
+    s, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    kinds = draw(st.lists(st.sampled_from(["full", "rows", "zero"]), min_size=s, max_size=s))
+    starts = draw(st.none() | st.lists(st.sampled_from(["warm", "zero", "nan"]),
+                                       min_size=s, max_size=s))
+    noise_ratio, power = 10.0 ** draw(log_noise), 10.0 ** draw(st.floats(-6.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = cscg(rng, (s, k, m)) * 10.0 ** rng.uniform(-1.0, 1.0, (s, 1, 1))
+    noise = noise_ratio * power * np.sum(np.abs(h) ** 2, axis=2).mean() * rng.uniform(0.5, 2.0, k)
+    for item, kind in zip(h, kinds):
+        if kind == "zero":
+            item[:] = 0.0
+        elif kind == "rows":
+            item[rng.random(k) < 0.5] = 0.0
+    w0 = None
+    if starts is not None:
+        w0 = cscg(rng, (s, k, m)) * np.sqrt(power / k) * 10.0 ** rng.uniform(-1.0, 1.0, (s, 1, 1))
+        for item, start in zip(w0, starts):
+            if start == "zero":
+                item[:] = 0.0
+            elif start == "nan":
+                item[0, 0] = np.nan
     return h, rng.uniform(0.5, 2.0, k), power, noise, w0
 
 
@@ -203,6 +240,59 @@ class TestWmmse:
         assert state.objective == pytest.approx(objective, rel=1e-6)
 
 
+class TestWmmseBatch:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(problem=wmmse_stacks())
+    def test_items_match_reference_and_meet_budget(self, problem):
+        h, alpha, power, noise, w0 = problem
+        states = wmmse_solve_batch(*problem)
+        assert len(states) == len(h)
+        for s, state in enumerate(states):
+            w, mu, objective, trace, iterations = reference_wmmse(
+                h[s], alpha, power, noise, None if w0 is None else w0[s])
+            assert np.array_equal(state.w, w)
+            assert (state.mu, state.objective, state.iterations) == (mu, objective, iterations)
+            assert state.trace == trace
+            # what the benchmark checks per wmmse_solve call: the budget, and the
+            # objective recomputed from h and w
+            assert np.sum(np.abs(state.w) ** 2) <= power * BUDGET
+            gains = np.abs(h[s].conj() @ state.w.T) ** 2
+            own = np.diagonal(gains)
+            rates = np.log2(1.0 + own / (gains.sum(axis=1) - own + noise))
+            assert state.objective == pytest.approx(float(alpha @ rates), rel=1e-9, abs=1e-300)
+
+    @settings(derandomize=True, deadline=None)
+    @given(problem=wmmse_stacks(log_noise=st.floats(-15.0, 3.0)))
+    def test_items_match_reference_at_extreme_snr(self, problem):
+        h, alpha, power, noise, w0 = problem
+        for s, state in enumerate(wmmse_solve_batch(*problem)):
+            w, mu, objective, trace, iterations = reference_wmmse(
+                h[s], alpha, power, noise, None if w0 is None else w0[s])
+            assert np.array_equal(state.w, w)
+            assert (state.mu, state.objective, state.iterations, state.trace) == (
+                mu, objective, iterations, trace)
+            assert np.sum(np.abs(state.w) ** 2) <= power * BUDGET
+
+    def test_items_stop_on_their_own(self, rng):
+        # one stack, items at different scales: each stops at its own iteration
+        # with the result it has alone
+        h = cscg(rng, (6, 4, 6)) * np.logspace(-5, -3, 6)[:, None, None]
+        alpha, power, noise = np.ones(4), 3.16e-3, np.full(4, 1e-11)
+        states = wmmse_solve_batch(h, alpha, power, noise)
+        alone = [wmmse_solve(hi, alpha, power, noise) for hi in h]
+        assert len({st.iterations for st in states}) > 1
+        for st, ref in zip(states, alone):
+            assert np.array_equal(st.w, ref.w)
+            assert (st.iterations, st.objective, st.mu) == (ref.iterations, ref.objective, ref.mu)
+
+    def test_precoders_solve_a_stack_per_item(self, rng):
+        h = cscg(rng, (2, 3, 3, 4))
+        w = precoders(h, np.ones(3), 1.0, np.full(3, 0.1))
+        assert w.shape == h.shape
+        for hi, wi in zip(h.reshape(-1, 3, 4), w.reshape(-1, 3, 4)):
+            assert np.array_equal(wi, wmmse_solve(hi, np.ones(3), 1.0, np.full(3, 0.1)).w)
+
+
 def power_split_inputs(rng, k, m, zero_coef, zero_scale):
     h = cscg(rng, (k, m))
     coef = rng.uniform(0.1, 2.0, k)
@@ -210,6 +300,12 @@ def power_split_inputs(rng, k, m, zero_coef, zero_scale):
     scale = cscg(rng, (k,))
     scale[zero_scale[:k]] = 0.0
     return h, coef, scale
+
+
+def split_one(h, coef, scale, power):
+    """`_solve_power_split` on a stack of one item."""
+    w, mus = _solve_power_split(h.T[None], h.conj()[None], coef[None], scale[None], power)
+    return w[0], mus[0]
 
 
 class TestSolvePowerSplit:
@@ -222,7 +318,7 @@ class TestSolvePowerSplit:
     def test_matches_numpy_reference(self, k, m, log_power, zero_coef, zero_scale, seed):
         h, coef, scale = power_split_inputs(np.random.default_rng(seed), k, m, zero_coef, zero_scale)
         power = 10.0 ** log_power
-        w, mu = _solve_power_split(h.T, h.conj(), coef, scale, power)
+        w, mu = split_one(h, coef, scale, power)
         w_ref, mu_ref = reference_power_split(h, coef, scale, power)
         if m <= 7:
             assert np.array_equal(w, w_ref) and mu == mu_ref
@@ -241,7 +337,7 @@ class TestSolvePowerSplit:
         h, coef, scale = power_split_inputs(np.random.default_rng(seed), k, k + extra,
                                             zero_coef, zero_scale)
         power = 10.0 ** log_power
-        w, mu = _solve_power_split(h.T, h.conj(), coef, scale, power)
+        w, mu = split_one(h, coef, scale, power)
         assert mu >= 0.0
         assert np.sum(np.abs(w) ** 2) <= power * BUDGET
         assert np.all(w[scale == 0] == 0)
