@@ -214,8 +214,9 @@ def _validate(args) -> int:
     # channel scales over two decades, so the items stop at different iterations
     hs = (rng_s.standard_normal((4, 3, 4)) + 1j * rng_s.standard_normal((4, 3, 4))) / np.sqrt(2)
     hs *= np.logspace(-1.0, 1.0, 4)[:, None, None]
-    stacked = wmmse_solve_batch(hs, np.ones(3), 1.0, np.full(3, 0.1))
-    alone = [wmmse_solve(hi, np.ones(3), 1.0, np.full(3, 0.1)) for hi in hs]
+    problem = (np.ones(3), 1.0, np.full(3, 0.1))
+    stacked = wmmse_solve_batch(hs, *problem)
+    alone = [wmmse_solve(hi, *problem) for hi in hs]
     same = all(np.array_equal(a.w, b.w) and a.iterations == b.iterations
                for a, b in zip(stacked, alone))
     within = all(np.sum(np.abs(a.w) ** 2) <= 1.0 + WATER_LEVEL_TOL + 1e-14 for a in stacked)
