@@ -24,6 +24,7 @@ from .single_user import (
     bcd_solve,
     build_quadratic_form,
     pdd_solve,
+    pdd_solve_batch,
 )
 
 # per-slot instantaneous designs re-solve a full problem 200+ times per trial;
@@ -64,13 +65,6 @@ def slot_quadratic_forms(
     """
     d = h_r.conj()
     return d[..., :, None] * g, d * (g @ h_d[..., None])[..., 0]
-
-
-def instantaneous_quadratic_form(ch: InstantaneousChannels, k: int = 0) -> QuadraticForm:
-    """Single-slot analogue of the average-power form: ||h_eff(v)||^2 exactly."""
-    a, b = slot_quadratic_forms(ch.g, ch.h_r[k], ch.h_d[k])
-    const = float(np.real(np.vdot(ch.h_d[k], ch.h_d[k])))
-    return QuadraticForm(phi=a @ a.conj().T, b=b, const_term=const)
 
 
 def naive_icsi(
@@ -161,22 +155,22 @@ def icsi_per_slot(
     coordinate minimization of the weighted-MSE quadratic in v. Each round is
     one batched WMMSE solve over the slots still alternating, then one BCD
     solve per slot; a slot stops on its own rule, so its design does not
-    depend on the rest of the stack. Single user: maximize the effective
-    channel power directly, then transmit MRT.
+    depend on the rest of the stack. Single user: maximize every slot's
+    effective channel power in one batched penalty solve on the slots' rank-M
+    factors, then transmit MRT.
     """
     one_slot = ch.g.ndim == 2
     if one_slot:
         ch = InstantaneousChannels(g=ch.g[None], h_r=ch.h_r[None], h_d=ch.h_d[None])
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
-    n_slots, n = ch.h_r.shape[0], ch.h_r.shape[-1]
     if ch.num_users == 1:
-        params = replace(ICSI_PDD, levels=levels)
-        v = np.stack([pdd_solve(instantaneous_quadratic_form(ch.slot(s)), params).config.v
-                      for s in range(n_slots)])
+        factors, bs = slot_quadratic_forms(ch.g, ch.h_r[:, 0], ch.h_d[:, 0])
+        v, _, _ = pdd_solve_batch(factors, bs, replace(ICSI_PDD, levels=levels))
         h = effective_channels(v, ch)
         w = precoders(h, weights_alpha, power, noise)
         objectives = [float(np.asarray(weights_alpha) @ r) for r in slot_rates(h, w, noise)[0]]
     else:
+        n_slots, n = ch.h_r.shape[0], ch.h_r.shape[-1]
         v = np.ones((n_slots, n), dtype=complex)  # phase 0 lies on every grid
         # zero precoders are no warm start: the first round starts WMMSE cold
         w = np.zeros((n_slots, ch.num_users, ch.g.shape[-1]), dtype=complex)

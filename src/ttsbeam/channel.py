@@ -369,7 +369,10 @@ def nearest_level(theta: np.ndarray, levels: int) -> np.ndarray:
 def grid_index(theta: float, levels: int) -> int:
     """`nearest_level` of one Python float, bit for bit, without numpy's per-call cost."""
     x = theta % (2.0 * math.pi) * levels / (2.0 * math.pi)
-    return 0 if x == levels - 0.5 else math.ceil(x - 0.5) % levels
+    try:
+        return 0 if x == levels - 0.5 else math.ceil(x - 0.5) % levels
+    except ValueError:  # math.ceil of the NaN that a NaN or infinite angle leaves
+        raise FloatingPointError("cannot quantize an angle that is not finite") from None
 
 
 @lru_cache(maxsize=None)

@@ -21,13 +21,7 @@ from .config import ConfigError, ExperimentSpec, db_to_linear, dbm_to_watts, lev
 from .multi_user import precoders, slot_rates, ssca_run
 from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .rng import substream
-from .single_user import (
-    PddParams,
-    QuadraticForm,
-    build_quadratic_form,
-    pdd_solve,
-    pdd_solve_batch,
-)
+from .single_user import PddParams, QuadraticForm, build_quadratic_form, pdd_solve
 
 log = logging.getLogger("ttsbeam")
 
@@ -185,11 +179,6 @@ def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
-    if t.scsi.num_users == 1:
-        # every slot's ||h_eff(v)||^2 as a rank-M factored form, solved in one batch
-        factors, bs = baselines.slot_quadratic_forms(t.ch.g, t.ch.h_r[:, 0], t.ch.h_d[:, 0])
-        u, _, _ = pdd_solve_batch(factors, bs, replace(baselines.ICSI_PDD, levels=levels))
-        return _adaptive_precoders(t, u)
     design = baselines.icsi_per_slot(t.ch, levels, t.spec.weights, t.power, t.noise)
     return _fixed_precoders(t, design.v, design.w)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
+from ttsbeam.baselines import ICSI_PDD, slot_quadratic_forms
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
+from ttsbeam.single_user import pdd_solve_batch
 
 from conftest import cscg, reference_icsi_per_slot, reference_rates, small_scenario
 
@@ -266,6 +270,22 @@ class TestIcsiPerSlot:
                 assert np.array_equal(design.v[s], v)
                 assert np.array_equal(design.w[s], w)
             assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
+
+    @pytest.mark.parametrize("levels", [0, 2, 4])
+    def test_single_user_stack_is_one_batch(self, levels):
+        # K = 1: the stack's phases are the rows of one batched penalty solve,
+        # and every slot's one-slot design is its row, bit for bit
+        scen = small_scenario(n_shape=(2, 3), m=3)
+        scsi = build_scsi(scen, substream(49, "s"))
+        ch = InstantaneousChannels(*sample_batch(scsi, 40, substream(49, "slots")))
+        p, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(1)
+        stack = icsi_per_slot(ch, levels, alpha, p, noise)
+        factors, bs = slot_quadratic_forms(ch.g, ch.h_r[:, 0], ch.h_d[:, 0])
+        u, _, _ = pdd_solve_batch(factors, bs, replace(ICSI_PDD, levels=levels))
+        assert np.array_equal(stack.v, u)
+        for s in range(40):
+            one = icsi_per_slot(ch.slot(s), levels, alpha, p, noise)
+            assert np.array_equal(one.v, stack.v[s]) and np.array_equal(one.w, stack.w[s])
 
     @pytest.mark.parametrize("users", [1, 3])
     def test_naive_icsi_is_the_one_slot_case(self, users):

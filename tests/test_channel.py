@@ -389,11 +389,15 @@ class TestNearestLevel:
                                        np.array([[0.5, -np.inf]]), np.nan])
     def test_non_finite_angle_raises(self, theta):
         # a NaN used to map to an arbitrary level: [nan, 1.0] at L = 4 gave [0, 1]
+        bad = [float(x) for x in np.ravel(theta) if not np.isfinite(x)]
         for levels in (1, 3, 4):
             with pytest.raises(FloatingPointError):
                 nearest_level(theta, levels)
             with pytest.raises(FloatingPointError):
                 quantize_phases(theta, levels)
+            for x in bad:
+                with pytest.raises(FloatingPointError):
+                    grid_index(x, levels)
 
 
 class TestQuantizePhases:
