@@ -155,7 +155,8 @@ def icsi_per_slot(
     coordinate minimization of the weighted-MSE quadratic in v. Each round is
     one batched WMMSE solve over the slots still alternating, then one BCD
     solve per slot; a slot stops on its own rule, so its design does not
-    depend on the rest of the stack. Single user: maximize every slot's
+    depend on the rest of the stack. A slot that reaches the round cap gets
+    one more WMMSE solve for its last phases. Single user: maximize every slot's
     effective channel power in one batched penalty solve on the slots' rank-M
     factors, then transmit MRT.
     """
@@ -193,8 +194,12 @@ def icsi_per_slot(
             active = still
             if not active:
                 break
-        states = wmmse_solve_batch(effective_channels(v, ch), weights_alpha, power, noise, w0=w)
-        w = np.stack([state.w for state in states])
+        if active:
+            # slots that used every round ended on a BCD step: their precoders
+            # are re-solved for their last phases; the others already match
+            states = wmmse_solve_batch(effective_channels(v, ch)[active], weights_alpha,
+                                       power, noise, w0=w[active])
+            w[active] = [state.w for state in states]
         objectives = [obj for objs in slot_objectives for obj in objs]
     if one_slot:
         v, w = v[0], w[0]

@@ -10,7 +10,8 @@ from ttsbeam import (
     RicianFactors,
     Scenario,
 )
-from ttsbeam.baselines import ICSI_MAX_ROUNDS, ICSI_REL_TOL, _mse_quadratic_form
+from ttsbeam import baselines
+from ttsbeam.baselines import ICSI_REL_TOL, _mse_quadratic_form
 from ttsbeam.channel import effective_channels
 from ttsbeam.multi_user import (
     WATER_LEVEL_TOL,
@@ -135,12 +136,14 @@ def reference_icsi_per_slot(ch, levels, weights_alpha, power, noise):
     """The multi-user per-slot design of one slot, written as one slot's own
     loop of alternating rounds on `reference_wmmse` and `reference_bcd`: an
     independent check on the library's slot-stack rounds, which must match it
-    bit for bit. Returns (v, w, round objectives)."""
+    bit for bit. A slot that reaches the round cap (read from `baselines` at
+    call time) ends with one more WMMSE solve for its last phases. Returns
+    (v, w, round objectives)."""
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (ch.num_users,))
     v = np.ones(ch.h_r.shape[1], dtype=complex)
     w = None
     objectives = []
-    for _ in range(ICSI_MAX_ROUNDS):
+    for _ in range(baselines.ICSI_MAX_ROUNDS):
         w, _, obj, _, _, u, mw = _reference_wmmse(effective_channels(v, ch), weights_alpha,
                                                   power, noise, w0=w)
         objectives.append(obj)
@@ -149,7 +152,8 @@ def reference_icsi_per_slot(ch, levels, weights_alpha, power, noise):
             break
         state = WmmseState(w=w, u_rx=u, mse=None, weights=mw, mu=0.0, objective=obj)
         v = reference_bcd(_mse_quadratic_form(state, ch), levels, v0=v)[0]
-    w = reference_wmmse(effective_channels(v, ch), weights_alpha, power, noise, w0=w)[0]
+    else:
+        w = reference_wmmse(effective_channels(v, ch), weights_alpha, power, noise, w0=w)[0]
     return v, w, objectives
 
 

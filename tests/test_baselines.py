@@ -18,6 +18,7 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
+from ttsbeam import baselines
 from ttsbeam.baselines import ICSI_PDD, slot_quadratic_forms
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
 from ttsbeam.single_user import pdd_solve_batch
@@ -254,22 +255,28 @@ class TestIcsiPerSlot:
             hits += got >= 0.95 * best
         assert hits >= int(0.85 * trials)
 
-    def test_stack_matches_per_slot_reference(self):
+    def test_stack_matches_per_slot_reference(self, monkeypatch):
         # K = 3 slots that stop after different numbers of rounds: each slot of
-        # the stack is one slot's own loop on the reference WMMSE and BCD
+        # the stack is one slot's own loop on the reference WMMSE and BCD. With
+        # the cap at 2 rounds, the slots that ran longer end on the cap instead
         scen = small_scenario(users=3, n_shape=(2, 3), m=3)
         scsi = build_scsi(scen, substream(47, "s"))
         ch = InstantaneousChannels(*sample_batch(scsi, 6, substream(47, "slots")))
         p, noise, alpha = scen.transmit_power, scen.noise_powers, np.array([1.0, 2.0, 0.5])
-        for levels in (2, 4):
-            design = icsi_per_slot(ch, levels, alpha, p, noise)
-            refs = [reference_icsi_per_slot(ch.slot(s), levels, alpha, p, noise)
-                    for s in range(6)]
-            assert len({len(objs) for _, _, objs in refs}) > 1
-            for s, (v, w, _) in enumerate(refs):
-                assert np.array_equal(design.v[s], v)
-                assert np.array_equal(design.w[s], w)
-            assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
+        for max_rounds in (baselines.ICSI_MAX_ROUNDS, 2):
+            monkeypatch.setattr(baselines, "ICSI_MAX_ROUNDS", max_rounds)
+            for levels in (2, 4):
+                design = icsi_per_slot(ch, levels, alpha, p, noise)
+                refs = [reference_icsi_per_slot(ch.slot(s), levels, alpha, p, noise)
+                        for s in range(6)]
+                lengths = [len(objs) for _, _, objs in refs]
+                if max_rounds > 2:
+                    # some slots run past 2 rounds, so at a cap of 2 they end on it
+                    assert len(set(lengths)) > 1 and max(lengths) > 2
+                for s, (v, w, _) in enumerate(refs):
+                    assert np.array_equal(design.v[s], v)
+                    assert np.array_equal(design.w[s], w)
+                assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
 
     @pytest.mark.parametrize("levels", [0, 2, 4])
     def test_single_user_stack_is_one_batch(self, levels):
