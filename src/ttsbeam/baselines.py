@@ -156,9 +156,9 @@ def icsi_per_slot(
     one batched WMMSE solve over the slots still alternating, then one BCD
     solve per slot; a slot stops on its own rule, so its design does not
     depend on the rest of the stack. A slot that reaches the round cap gets
-    one more WMMSE solve for its last phases. Single user: maximize every slot's
-    effective channel power in one batched penalty solve on the slots' rank-M
-    factors, then transmit MRT.
+    one more WMMSE solve for its last phases. Single user: maximize every
+    slot's effective channel power in one batched penalty solve on the slots'
+    rank-M factors, then transmit MRT.
     """
     one_slot = ch.g.ndim == 2
     if one_slot:

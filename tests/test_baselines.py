@@ -5,6 +5,7 @@ import pytest
 
 from ttsbeam import (
     SscaParams,
+    baselines,
     build_scsi,
     effective_channels,
     icsi_per_slot,
@@ -18,7 +19,6 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam import baselines
 from ttsbeam.baselines import ICSI_PDD, slot_quadratic_forms
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
 from ttsbeam.single_user import pdd_solve_batch

@@ -4,8 +4,8 @@
 
 Writes the configs to a temporary directory, runs `ttsbeam run` on each with
 the sources of this checkout and BLAS at one thread, and prints one line per
-config: its name and the sha256 of its CSV. Two checkouts give the same
-results exactly when their lines are equal. The configs:
+config: its name and the sha256 of its CSV. Equal lines from two checkouts
+mean byte-identical CSVs on these configs. The configs:
 
 - su-shipped: `configs/single_user.yaml` at `trials: 2`;
 - mu-shipped: `configs/multi_user.yaml` at `trials: 1`, SSCA `max_iters: 100`;
@@ -31,15 +31,10 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from run import workload_configs  # noqa: E402  (perfbench/run.py)
+from run import _shipped, workload_configs  # noqa: E402  (perfbench/run.py)
 
 ALL_SCHEMES = ["tts-pdd", "tts-ssca", "random-phase", "no-irs", "naive-icsi",
                "single-timescale", "icsi-per-slot"]
-
-
-def _shipped(name: str) -> dict:
-    with open(ROOT / "configs" / name, encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
 
 
 def comparison_configs() -> dict[str, dict]:
