@@ -5,6 +5,7 @@ long-term phases from channel samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,28 +42,29 @@ def slot_rates(h: np.ndarray, w: np.ndarray, noise: np.ndarray) -> tuple[np.ndar
     the (..., K) rates and the cross gains c[..., k, j] = h_k^H w_j.
     """
     c = h.conj() @ np.swapaxes(w, -1, -2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _rates_from_gains(c, noise)[0], c
+    return _rates_from_gains(c, noise)[0], c
+
+
+@functools.lru_cache(maxsize=None)
+def _off_diagonal(k: int) -> np.ndarray:
+    return ~np.eye(k, dtype=bool)       # the (k, k) entries j != k, built once per k
 
 
 def _rates_from_gains(c: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rates, received power plus noise gamma_k and own power |c_kk|^2 from the
-    cross gains c (..., K, K). Callers ignore numpy's divide and invalid
-    warnings: a user without signal has rate 0, and a NaN channel stays NaN."""
+    """Rates log2(1 + |c_kk|^2 / ipn_k), interference plus noise ipn_k (the sum
+    of |c_kj|^2 over j != k, plus noise) and gamma_k = |c_kk|^2 + ipn_k from the
+    cross gains c (..., K, K). ipn_k is summed directly, as gamma_k - |c_kk|^2
+    cancels at high SINR; noise > 0 keeps it positive."""
     powers = np.abs(c) ** 2
-    total = np.add.reduce(powers, axis=-1) + noise
     own = powers.diagonal(0, -2, -1)
-    sinr = np.where(own == 0, 0.0, own / (total - own))
-    return np.log2(1.0 + sinr), total, own
+    ipn = np.add.reduce(powers, axis=-1, where=_off_diagonal(c.shape[-1])) + noise
+    return np.log2(1.0 + own / ipn), ipn, own + ipn
 
 
 def instantaneous_rates(v, w: np.ndarray, ch: InstantaneousChannels,
                         noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`slot_rates` at the effective channels of reflection vector v.
-
-    Leading axes of v, w and the channels broadcast. Returns the (..., K)
-    rates and the (..., K, K) cross gains that `rate_jacobian` takes.
-    """
+    """`slot_rates` at the effective channels of reflection vector v; leading
+    axes broadcast, and the cross gains it returns are what `rate_jacobian` takes."""
     return slot_rates(effective_channels(v, ch), w, noise)
 
 
@@ -74,19 +76,17 @@ def rate_jacobian(ch: InstantaneousChannels, w: np.ndarray, c: np.ndarray,
     for these channels and precoders; leading axes broadcast. |c_kj|^2 has
     conjugate gradient g_kj c_kj^* with g_kj = diag(h_{r,k}^H) G w_j, so column
     k is (1/ln 2) * (a_k / gamma_k - a_{-k} / gamma_{-k}), where a_k sums those
-    gradients over j, a_{-k} leaves out j = k, gamma_k is the received power
-    plus noise and gamma_{-k} leaves out |c_kk|^2. The 1/ln 2 factor converts
+    gradients over j, a_{-k} leaves out j = k, and gamma_k and the interference
+    plus noise gamma_{-k} come from `_rates_from_gains`. The 1/ln 2 factor converts
     the natural-log gradient to bits. For a real perturbation of v_n the rate
     moves by 2 Re{J[n, k]} per unit step, for an imaginary perturbation by
     2 Im{J[n, k]}.
     """
     gw = ch.g @ np.swapaxes(w, -1, -2)                    # (..., N, K): G w_j
     hr = np.swapaxes(ch.h_r, -1, -2).conj()               # (..., N, K): h_{r,k}^*
-    c_own = c.diagonal(axis1=-2, axis2=-1)
-    gamma = np.add.reduce(np.abs(c) ** 2, axis=-1) + noise
-    gamma_minus = gamma - np.abs(c_own) ** 2
+    _, gamma_minus, gamma = _rates_from_gains(c, noise)
     a = hr * (gw @ np.swapaxes(c, -1, -2).conj())
-    a_minus = a - hr * gw * c_own.conj()[..., None, :]
+    a_minus = a - hr * gw * c.diagonal(axis1=-2, axis2=-1).conj()[..., None, :]
     return LOG2E * (a / gamma[..., None, :] - a_minus / gamma_minus[..., None, :])
 
 
@@ -232,39 +232,37 @@ def wmmse_solve_batch(
 
     hs = h if len(live) == n_items else h[live]
     h_t, h_conj = hs.swapaxes(1, 2), hs.conj()
-    # one errstate for the whole loop: the rate formula's 0/0 is rate 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = h_conj @ np.array(starts).swapaxes(1, 2)
-        rates, gamma, own = _rates_from_gains(c, noise)
-        objs = [float(weights_alpha @ r) for r in rates]
-        traces = [[obj] for obj in objs]
-        for its in range(1, WMMSE_MAX_ITERS + 1):
-            u = c.diagonal(0, 1, 2) / gamma
-            mse = np.maximum(1.0 - own / gamma, 1e-300)
-            mw = weights_alpha / mse
-            w, mus = _solve_power_split(h_t, h_conj, mw * np.abs(u) ** 2, mw * u.conj(), power)
-            c = h_conj @ w.swapaxes(1, 2)
-            rates, gamma, own = _rates_from_gains(c, noise)
-            keep = []
-            for j, r in enumerate(rates):
-                obj, new_obj = objs[j], float(weights_alpha @ r)
-                traces[j].append(new_obj)
-                objs[j] = new_obj
-                if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
-                    out[live[j]] = WmmseState(w=w[j], u_rx=u[j], mse=mse[j], weights=mw[j],
-                                              mu=mus[j], objective=new_obj, trace=traces[j],
-                                              iterations=its)
-                else:
-                    keep.append(j)
-            if len(keep) < len(live):
-                if not keep:
-                    break
-                # stopped items leave the working set
-                live = [live[j] for j in keep]
-                objs = [objs[j] for j in keep]
-                traces = [traces[j] for j in keep]
-                hs, c, gamma, own = hs[keep], c[keep], gamma[keep], own[keep]
-                h_t, h_conj = hs.swapaxes(1, 2), hs.conj()
+    c = h_conj @ np.array(starts).swapaxes(1, 2)
+    rates, ipn, gamma = _rates_from_gains(c, noise)
+    objs = [float(weights_alpha @ r) for r in rates]
+    traces = [[obj] for obj in objs]
+    for its in range(1, WMMSE_MAX_ITERS + 1):
+        u = c.diagonal(0, 1, 2) / gamma
+        mse = ipn / gamma
+        mw = weights_alpha / mse
+        w, mus = _solve_power_split(h_t, h_conj, mw * np.abs(u) ** 2, mw * u.conj(), power)
+        c = h_conj @ w.swapaxes(1, 2)
+        rates, ipn, gamma = _rates_from_gains(c, noise)
+        keep = []
+        for j, r in enumerate(rates):
+            obj, new_obj = objs[j], float(weights_alpha @ r)
+            traces[j].append(new_obj)
+            objs[j] = new_obj
+            if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
+                out[live[j]] = WmmseState(w=w[j], u_rx=u[j], mse=mse[j], weights=mw[j],
+                                          mu=mus[j], objective=new_obj, trace=traces[j],
+                                          iterations=its)
+            else:
+                keep.append(j)
+        if len(keep) < len(live):
+            if not keep:
+                break
+            # stopped items leave the working set
+            live = [live[j] for j in keep]
+            objs = [objs[j] for j in keep]
+            traces = [traces[j] for j in keep]
+            hs, c, gamma, ipn = hs[keep], c[keep], gamma[keep], ipn[keep]
+            h_t, h_conj = hs.swapaxes(1, 2), hs.conj()
     return out
 
 

@@ -35,8 +35,8 @@ class QuadraticForm:
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=complex)
         self.b = np.asarray(self.b, dtype=complex).reshape(-1)
-        if not np.allclose(self.phi, self.phi.conj().T, atol=1e-10):
-            raise ValueError("quadratic form matrix must be Hermitian")
+        if not np.abs(self.phi - self.phi.conj().T).max() <= 1e-10 * np.abs(self.phi).max():
+            raise ValueError("quadratic form matrix must be Hermitian to 1e-10 of its largest entry")
         if self.const_term < 0:
             raise ValueError("constant term must be non-negative")
 
@@ -82,8 +82,8 @@ def build_quadratic_form(scsi: StatisticalCsi) -> QuadraticForm:
 
 def rate_upper_bound(qf: QuadraticForm, v, power: float, noise: float) -> float:
     """log2(1 + P * E{||h_eff||^2} / sigma^2), a Jensen bound on the average rate."""
-    gain = qf.expected_gain(v)
-    if gain < -1e-9:
+    gain, mag = qf.expected_gain(v), np.abs(phase_vector(v))
+    if gain < -1e-9 * (mag @ np.abs(qf.phi) @ mag + 2.0 * mag @ np.abs(qf.b) + qf.const_term):
         raise ValueError(f"expected channel gain is negative ({gain:.3e}); form not PSD")
     return float(np.log2(1.0 + power * max(gain, 0.0) / noise))
 

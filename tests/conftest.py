@@ -35,7 +35,7 @@ def reference_rates(v, w, ch, noise):
     for k in range(k_users):
         hk = v.conj() @ np.diag(ch.h_r[k].conj()) @ ch.g + ch.h_d[k].conj()   # h_k^H
         powers = np.abs(hk @ w.T) ** 2
-        interference = powers.sum() - powers[k]
+        interference = np.delete(powers, k).sum()
         rates[k] = np.log2(1.0 + powers[k] / (interference + noise[k]))
     return rates
 
@@ -116,10 +116,13 @@ def _reference_wmmse(h, weights_alpha, power, noise, w0=None):
     its = 0
     u, mw = np.zeros(k_users, dtype=complex), weights_alpha.copy()
     for its in range(1, WMMSE_MAX_ITERS + 1):
+        # interference plus noise summed over j != k, as the library sums it
         powers = np.abs(c) ** 2
-        gamma = np.add.reduce(powers, axis=1) + noise
+        own = powers.diagonal()
+        ipn = np.add.reduce(powers, axis=1, where=~np.eye(k_users, dtype=bool)) + noise
+        gamma = own + ipn
         u = c.diagonal() / gamma
-        mse = np.maximum(1.0 - powers.diagonal() / gamma, 1e-300)
+        mse = ipn / gamma
         mw = weights_alpha / mse
         w, mu = reference_power_split(h, mw * np.abs(u) ** 2, mw * u.conj(), power)
         rates, c = slot_rates(h, w, noise)

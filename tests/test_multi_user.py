@@ -23,9 +23,15 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam.multi_user import _solve_power_split, precoders, wmmse_solve_batch
+from ttsbeam.multi_user import _solve_power_split, precoders, slot_rates, wmmse_solve_batch
 
-from conftest import cscg, reference_power_split, reference_wmmse, small_scenario
+from conftest import (
+    cscg,
+    reference_power_split,
+    reference_rates,
+    reference_wmmse,
+    small_scenario,
+)
 
 
 # the water-level search recomputes the power from w with rounding on top of
@@ -60,10 +66,10 @@ def wmmse_stacks(draw, log_noise=st.floats(-5.0, 3.0)):
     some items are all zero and some rows are zero. w0 is absent, or per item
     a warm start, zero or NaN.
 
-    The default noise floor keeps the SINR below about 1e8: above that,
-    total - own in the rate formula cancels, and the objective recomputed with
-    the interference summed apart drifts past 1e-9 relative (at K = 1 and a
-    noise of 5e-10 times the received power it read 4e-9)."""
+    The default noise floor keeps the SINR below about 1e8: above that, the
+    objective recomputed as the benchmark recomputes it, with total - own,
+    cancels and drifts past 1e-9 relative (at K = 1 and a noise of 5e-10 times
+    the received power it read 4e-9)."""
     s, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
     kinds = draw(st.lists(st.sampled_from(["full", "rows", "zero"]), min_size=s, max_size=s))
     starts = draw(st.none() | st.lists(st.sampled_from(["warm", "zero", "nan"]),
@@ -86,6 +92,11 @@ def wmmse_stacks(draw, log_noise=st.floats(-5.0, 3.0)):
             elif start == "nan":
                 item[0, 0] = np.nan
     return h, rng.uniform(0.5, 2.0, k), power, noise, w0
+
+
+def assert_monotone(trace):
+    for a, b in zip(trace, trace[1:]):
+        assert b >= a - 1e-10 * max(1.0, abs(a))
 
 
 def random_setup(rng, n=5, m=3, k=2):
@@ -118,6 +129,19 @@ class TestInstantaneousRates:
             num = np.abs(hk @ w[k]) ** 2
             den = sum(np.abs(hk @ w[j]) ** 2 for j in range(3) if j != k) + noise[k]
             assert rates[k] == pytest.approx(np.log2(1 + num / den), rel=1e-12)
+
+    @pytest.mark.parametrize("noise_ratio", [1e-14, 1e-12, 1e-10, 1e-8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exact_at_high_sinr(self, rng, k, noise_ratio):
+        # zero-forcing precoders leave only the noise beside each own power, so
+        # the SINR is 1 / noise_ratio; with the interference plus noise taken as
+        # total - own, a rate read 4.4e-8 relative off at an SINR of 1e10
+        ch, _, v, _ = random_setup(rng, m=k + 2, k=k)
+        h = effective_channels(v, ch)
+        w = np.linalg.pinv(h.conj()).T
+        noise = noise_ratio * np.abs(np.sum(h.conj() * w, axis=1)) ** 2
+        rates, _ = slot_rates(h, w, noise)
+        np.testing.assert_allclose(rates, reference_rates(v, w, ch, noise), rtol=1e-13, atol=0)
 
 
 class TestPrecoders:
@@ -180,21 +204,26 @@ class TestWmmse:
 
     @settings(derandomize=True, deadline=None)
     @given(problem=wmmse_problems(antennas=st.integers(1, 7) | st.sampled_from([8, 12]),
-                                  log_noise=st.floats(-9.0, 3.0)))
+                                  log_noise=st.floats(-11.0, 3.0)))
     def test_monotone_every_iteration(self, problem):
-        # noise from 1e-9 of the received power: below that see the xfail next
-        state = wmmse_solve(*problem)
-        for a, b in zip(state.trace, state.trace[1:]):
-            assert b >= a - 1e-10 * max(1.0, abs(a))
+        # noise from 1e-11 of the received power: below that see the xfail next
+        assert_monotone(wmmse_solve(*problem).trace)
 
-    @pytest.mark.xfail(strict=True, reason="at SINR near 1e14, mse = 1 - |c_kk|^2/gamma_k "
-                       "keeps only a few digits, and the MSE weights go wrong")
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(problem=wmmse_problems(antennas=st.integers(1, 7) | st.sampled_from([8, 12]),
+                                  log_noise=st.floats(-11.0, -10.0)))
+    def test_monotone_at_sinr_near_1e11(self, problem):
+        # the decade where 1 - own/gamma for the MSE, in place of ipn/gamma, broke
+        # the trace in 14 of 1,000 random problems
+        assert_monotone(wmmse_solve(*problem).trace)
+
+    @pytest.mark.xfail(strict=True, reason="at SINR near 1e14 the trace still drops "
+                       "(90.308 -> 90.295) with the interference summed directly; "
+                       "the cause is not known")
     def test_monotone_at_extreme_snr(self):
         h = cscg(np.random.default_rng(0), (3, 3))
         noise = np.full(3, 1e-14 * np.sum(np.abs(h) ** 2, axis=1).mean())
-        state = wmmse_solve(h, np.ones(3), 1.0, noise)
-        for a, b in zip(state.trace, state.trace[1:]):
-            assert b >= a - 1e-10 * max(1.0, abs(a))
+        assert_monotone(wmmse_solve(h, np.ones(3), 1.0, noise).trace)
 
     @settings(derandomize=True, deadline=None)
     @given(problem=wmmse_problems(antennas=st.integers(1, 7) | st.sampled_from([8, 12])))

@@ -71,11 +71,36 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             QuadraticForm(phi=np.array([[1.0, 1.0], [0.0, 1.0]]), b=np.zeros(2), const_term=0.0)
 
+    def test_rejects_non_hermitian_at_long_term_scale(self):
+        # long-term forms at d = 40-60 m have entries near 1e-12 to 1e-10, where
+        # an absolute 1e-10 tolerance accepted any matrix
+        phi = 1e-12 * cscg(np.random.default_rng(0), (40, 40))
+        with pytest.raises(ValueError, match="Hermitian"):
+            QuadraticForm(phi=phi, b=np.zeros(40), const_term=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e6])
+    def test_accepts_hermitian_at_any_scale(self, scale):
+        x = cscg(np.random.default_rng(1), (40, 40))
+        qf = QuadraticForm(phi=scale * (x @ x.conj().T), b=np.zeros(40), const_term=0.0)
+        assert qf.size == 40
+
 
 class TestRateUpperBound:
     def test_zero_form_gives_zero_rate(self):
         qf = QuadraticForm(phi=np.zeros((3, 3)), b=np.zeros(3), const_term=0.0)
         assert rate_upper_bound(qf, np.ones(3, complex), 1.0, 1.0) == 0.0
+
+    def test_rejects_negative_gain_at_long_term_scale(self):
+        # a constant term of 3.6e-9 is the shipped scale; a gain of -5 % of it
+        # (-1.8e-10) passed an absolute -1e-9 threshold as rate 0
+        const = 3.6e-9
+        qf = QuadraticForm(phi=np.zeros((2, 2)), b=np.full(2, -0.2625 * const),
+                           const_term=const)
+        with pytest.raises(ValueError, match="negative"):
+            rate_upper_bound(qf, np.ones(2, complex), 1.0, 1e-12)
+        # a gain that cancels to rounding is zero, not an error
+        qf.b = np.full(2, -0.25 * const)
+        assert rate_upper_bound(qf, np.ones(2, complex), 1.0, 1e-12) == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_form(self):
         n = 5
