@@ -4,7 +4,7 @@
 
 Runs `perfbench/run.py --trace 0` in each checkout, one run at a time. Pair i
 gives both sides the seed SEED + i, and the side that runs first swaps on
-every pair, so a host that drifts over the session loads both sides alike.
+every pair, so a host whose speed drifts over time loads both sides alike.
 For each end-to-end metric that CHANGE's BENCHMARK.json lists, it prints each
 side's median and quartiles and the number of pairs where CHANGE is better.
 A metric whose CHANGE median lies inside PARENT's quartile range is marked
