@@ -63,8 +63,11 @@ def _rates_from_gains(c: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, ...
 
 def instantaneous_rates(v, w: np.ndarray, ch: InstantaneousChannels,
                         noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`slot_rates` at the effective channels of reflection vector v; leading
-    axes broadcast, and the cross gains it returns are what `rate_jacobian` takes."""
+    """`slot_rates` at the effective channels of reflection vector v.
+
+    Leading axes of v, w and the channels broadcast. Returns the (..., K)
+    rates and the (..., K, K) cross gains that `rate_jacobian` takes.
+    """
     return slot_rates(effective_channels(v, ch), w, noise)
 
 

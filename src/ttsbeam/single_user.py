@@ -82,8 +82,8 @@ def build_quadratic_form(scsi: StatisticalCsi) -> QuadraticForm:
 
 def rate_upper_bound(qf: QuadraticForm, v, power: float, noise: float) -> float:
     """log2(1 + P * E{||h_eff||^2} / sigma^2), a Jensen bound on the average rate."""
-    gain, mag = qf.expected_gain(v), np.abs(phase_vector(v))
-    if gain < -1e-9 * (mag @ np.abs(qf.phi) @ mag + 2.0 * mag @ np.abs(qf.b) + qf.const_term):
+    gain = qf.expected_gain(v)
+    if gain < -1e-9 * (np.abs(qf.phi).sum() + 2.0 * np.abs(qf.b).sum() + qf.const_term):
         raise ValueError(f"expected channel gain is negative ({gain:.3e}); form not PSD")
     return float(np.log2(1.0 + power * max(gain, 0.0) / noise))
 

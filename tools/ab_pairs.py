@@ -5,12 +5,14 @@
 Runs `perfbench/run.py --trace 0` in each checkout, one run at a time. Pair i
 gives both sides the seed SEED + i, and the side that runs first swaps on
 every pair, so a host whose speed drifts over time loads both sides alike.
-For each end-to-end metric that CHANGE's BENCHMARK.json lists, it prints each
-side's median and quartiles and the number of pairs where CHANGE is better.
-A metric whose CHANGE median lies inside PARENT's quartile range is marked
-"unresolved": the runs cannot tell the two sides apart. With --json PATH the
-per-run metrics and the summary are also written there. The checkouts'
-files are only read; each run writes its output under its own perfbench/out/.
+Each run lasts CHANGE's BENCHMARK.json `run_seconds`. For each end-to-end
+metric listed there, it prints each side's median and quartiles, the number
+of pairs where CHANGE is better, and a verdict against the metric's `bound`,
+a fraction of PARENT's median. "worse": CHANGE's median is worse than
+PARENT's by more than the bound. "unresolved": PARENT's quartile range is
+wider than the bound and CHANGE's median lies inside it, so the runs cannot
+tell the two sides apart. Otherwise "within bound". The checkouts' files are
+only read; each run writes its output under its own perfbench/out/.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
         parent, change = spread(values["parent"]), spread(values["change"])
         better = sum((c < p) if lower else (c > p)
                      for p, c in zip(values["parent"], values["change"]))
-        if parent["q1"] <= change["median"] <= parent["q3"]:
+        worse_by = (change["median"] - parent["median"]) / parent["median"] * (1 if lower else -1)
+        width = (parent["q3"] - parent["q1"]) / parent["median"]
+        if width > metric["bound"] and parent["q1"] <= change["median"] <= parent["q3"]:
             verdict = "unresolved"
         else:
-            verdict = "better" if (change["median"] < parent["median"]) == lower else "worse"
+            verdict = "worse" if worse_by > metric["bound"] else "within bound"
         summary[name] = {"unit": metric["unit"], "better": metric["better"],
-                         "parent": {"runs": values["parent"], **parent},
-                         "change": {"runs": values["change"], **change},
-                         "pairs_change_better": better, "verdict": verdict}
+                         "bound": metric["bound"], "parent": parent, "change": change,
+                         "worse_by": worse_by, "pairs_change_better": better, "verdict": verdict}
     return summary
 
 
@@ -66,8 +69,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
-    p.add_argument("--seconds", type=float, default=55.0, help="--seconds of each run (default 55)")
-    p.add_argument("--json", type=Path, help="also write runs and summary here")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
         seed = args.seed + i
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, bench["run_seconds"])
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} "
@@ -91,14 +92,10 @@ def main(argv=None) -> int:
         print(f"{name} ({s['unit']}, {s['better']} is better): "
               f"parent {par['median']:.4g} [{par['q1']:.4g}, {par['q3']:.4g}], "
               f"change {chg['median']:.4g} [{chg['q1']:.4g}, {chg['q3']:.4g}], "
+              f"worse by {s['worse_by']:+.3f} (bound {s['bound']}), "
               f"change better in {s['pairs_change_better']} of {args.pairs}: {s['verdict']}")
     failed = [r for rs in runs.values() for r in rs if not r["correct"] or r["failed"]]
     print(f"runs not correct or with failed trials: {len(failed)}")
-    if args.json:
-        args.json.write_text(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                                         "seeds": [args.seed + i for i in range(args.pairs)],
-                                         "summary": summary}, indent=1) + "\n",
-                             encoding="utf-8")
     return 1 if failed else 0
 
 
