@@ -51,7 +51,6 @@ from .multi_user import (
 )
 from .baselines import (
     icsi_per_slot,
-    naive_icsi,
     no_irs_rate,
     random_phase,
     single_timescale,

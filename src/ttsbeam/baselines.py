@@ -1,6 +1,6 @@
 """Reference transmission schemes: random phases, no reflecting surface,
-first-slot-only phase design, single-timescale freezing, and per-slot
-instantaneous-CSI optimization.
+single-timescale freezing, and per-slot instantaneous-CSI optimization, whose
+one-slot design the first-slot-only scheme freezes.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ def slot_quadratic_forms(
     return d[..., :, None] * g, d * (g @ h_d[..., None])[..., 0]
 
 
-def naive_icsi(
-    first_slot: InstantaneousChannels,
-    levels: int,
-    weights_alpha: np.ndarray,
-    power: float,
-    noise: np.ndarray,
-) -> PhaseConfig:
-    """Phases designed from the first slot's realization only, then frozen: the
-    one-slot case of `icsi_per_slot`."""
-    return icsi_per_slot(first_slot, levels, weights_alpha, power, noise).config
-
-
 def single_timescale(
     scsi: StatisticalCsi,
     levels: int,
@@ -130,15 +118,7 @@ class IcsiDesign:
 
     v: np.ndarray
     w: np.ndarray
-    levels: int
     round_objectives: list[float] = field(default_factory=list)
-
-    @property
-    def config(self) -> PhaseConfig:
-        """The phases of a one-slot design."""
-        if self.v.ndim != 1:
-            raise ValueError("a slot stack has one phase vector per slot; read v")
-        return PhaseConfig(self.v, levels=self.levels)
 
 
 def icsi_per_slot(
@@ -203,4 +183,4 @@ def icsi_per_slot(
         objectives = [obj for objs in slot_objectives for obj in objs]
     if one_slot:
         v, w = v[0], w[0]
-    return IcsiDesign(v=v, w=w, levels=levels, round_objectives=objectives)
+    return IcsiDesign(v=v, w=w, round_objectives=objectives)

@@ -14,9 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-SYM_TOL = 1e-10          # max asymmetry accepted by psd_sqrt
+SYM_TOL = 1e-10          # max asymmetry accepted, relative to the largest entry
 PSD_EIG_TOL = -1e-6      # eigenvalues below this are treated as a hard error
-PSD_CLAMP_TOL = -1e-10   # eigenvalues in [PSD_CLAMP_TOL, 0) are clamped to 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,9 @@ def kron_correlation(phi_h: np.ndarray, phi_v: np.ndarray) -> np.ndarray:
             raise ValueError("correlation factors must be square")
         if np.iscomplexobj(phi):
             raise ValueError("correlation matrices must be real")
-        if not np.allclose(phi, phi.T, atol=SYM_TOL):
+        if not np.abs(phi - phi.T).max(initial=0.0) <= SYM_TOL * np.abs(phi).max(initial=0.0):
             raise ValueError("correlation factors must be symmetric")
-        if not np.allclose(np.diag(phi), 1.0, atol=1e-9):
+        if not np.abs(np.diag(phi) - 1.0).max(initial=0.0) <= 1e-9:
             raise ValueError("correlation factors must have unit diagonal")
     return np.kron(np.asarray(phi_h, dtype=float), np.asarray(phi_v, dtype=float))
 
@@ -168,7 +167,7 @@ def psd_sqrt(phi: np.ndarray) -> np.ndarray:
         raise ValueError("expected a real symmetric matrix")
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(phi, phi.T, atol=SYM_TOL):
+    if not np.abs(phi - phi.T).max(initial=0.0) <= SYM_TOL * np.abs(phi).max(initial=0.0):
         raise ValueError("matrix is not symmetric within tolerance")
     eigvals, eigvecs = np.linalg.eigh(phi)
     if eigvals.min(initial=0.0) < PSD_EIG_TOL:

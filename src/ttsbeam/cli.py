@@ -18,6 +18,7 @@ import numpy as np
 from .channel import (
     InstantaneousChannels,
     build_scsi,
+    effective_channels,
     exp_correlation,
     psd_sqrt,
     sample_batch,
@@ -33,7 +34,6 @@ from .config import (
 from .harness import ExperimentError, emit_csv, run_experiment
 from .multi_user import (
     WATER_LEVEL_TOL,
-    SscaParams,
     instantaneous_rates,
     rate_jacobian,
     ssca_run,
@@ -101,7 +101,14 @@ def _env_seed() -> int | None:
         raise ConfigError(f"TTSBEAM_SEED must be an integer, got '{raw}'") from None
 
 
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
+def _spec(args) -> ExperimentSpec:
+    """The --config experiment, or the default single-user scenario at seed 0;
+    --seed overrides either seed."""
+    if args.config is not None:
+        spec = load_config(args.config)
+    else:
+        spec = ExperimentSpec(scenario=default_single_user_scenario(), schemes=(), q_bits=(),
+                              slots=1, trials=1, weights=1.0, seed=0)
     if args.seed is not None:
         spec.seed = args.seed
     return spec
@@ -109,7 +116,7 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 def _cmd_run(args) -> int:
     """`run`, and `sweep` with the config's sweep replaced by --var/--grid."""
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = _spec(args)
     if args.command == "sweep":
         spec.sweep = SweepSpec(variable=args.var, grid=args.grid.split(","))
     records = run_experiment(spec)
@@ -119,16 +126,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    if args.config is not None:
-        spec = _apply_overrides(load_config(args.config), args)
-        scenario, seed = spec.scenario, spec.seed
-        ssca_params = spec.ssca
-        weights = spec.weights
-    else:
-        scenario = default_single_user_scenario()
-        seed = args.seed if args.seed is not None else 0
-        ssca_params = SscaParams()
-        weights = np.ones(scenario.num_users)
+    spec = _spec(args)
+    scenario, seed = spec.scenario, spec.seed
     scsi = build_scsi(scenario, substream(seed, "scsi", 0))
     if args.scheme == "tts-pdd":
         if scenario.num_users != 1:
@@ -142,7 +141,7 @@ def _cmd_convergence(args) -> int:
                 fh.write(f"{row[0]},{row[1]},{row[2]:.6g},{row[3]:.6g},{row[4]:.6g}\n")
     else:
         result = ssca_run(scsi, scenario.transmit_power, scenario.noise_powers,
-                          weights, ssca_params, levels=levels_for_bits(1),
+                          spec.weights, spec.ssca, levels=levels_for_bits(1),
                           rng=substream(seed, "ssca", 0, 1))
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,rho_t,gamma_t,sum_r_hat,v_change_inf_norm\n")
@@ -163,11 +162,8 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _validate(args) -> int:
-    scenario = default_single_user_scenario()
-    seed = args.seed if args.seed is not None else 0
-    if args.config is not None:
-        spec = _apply_overrides(load_config(args.config), args)
-        scenario, seed = spec.scenario, spec.seed
+    spec = _spec(args)
+    scenario, seed = spec.scenario, spec.seed
     ok = True
 
     corr = exp_correlation(16, 0.6)
@@ -180,9 +176,9 @@ def _validate(args) -> int:
     scsi = build_scsi(su, rng)
     qf = build_quadratic_form(scsi)
     v = np.exp(1j * substream(seed, "validate", "v").uniform(0, 2 * np.pi, su.num_elements))
-    g, h_r, h_d = sample_batch(scsi, 20000, substream(seed, "validate", "mc"))
-    h_eff = np.einsum("sn,snm->sm", h_r[:, 0, :] * v[None, :], g.conj()) + h_d[:, 0, :]
-    mc = float(np.mean(np.sum(np.abs(h_eff) ** 2, axis=1)))
+    h_eff = effective_channels(v, InstantaneousChannels(
+        *sample_batch(scsi, 20000, substream(seed, "validate", "mc"))))
+    mc = float(np.mean(np.sum(np.abs(h_eff) ** 2, axis=-1)))
     analytic = qf.expected_gain(v)
     ok &= _check("average channel power matches quadratic form",
                  abs(mc - analytic) <= 0.03 * analytic,

@@ -1,7 +1,8 @@
 """YAML config loading: scenario geometry, experiment settings, unit handling.
 
-Keys suffixed `_db` / `_dbm` are converted to linear / watts on load, so the
-in-memory objects only ever carry linear quantities.
+Powers, the path-loss constant and the Rician factors are read in the paper's
+units only, from keys suffixed `_dbm` / `_db`, and converted to watts / linear
+on load, so the in-memory objects only ever carry linear quantities.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .multi_user import SscaParams
 DEFAULT_SEED = 20240
 
 SWEEP_VARIABLES = ("ap_user_distance", "rician_beta", "r_r", "r_rk", "transmit_power")
-SWEEP_ALIASES = {"d": "ap_user_distance", "r_ru": "r_rk", "p": "transmit_power",
-                 "P": "transmit_power"}
 
 SCHEME_TAGS = ("tts-pdd", "tts-ssca", "random-phase", "no-irs", "naive-icsi",
                "single-timescale", "icsi-per-slot")
@@ -51,7 +50,6 @@ class SweepSpec:
     grid: tuple[float, ...]
 
     def __post_init__(self):
-        self.variable = SWEEP_ALIASES.get(self.variable, self.variable)
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"unknown sweep variable '{self.variable}'")
         try:
@@ -81,6 +79,8 @@ class ExperimentSpec:
         for s in self.schemes:
             if s not in SCHEME_TAGS:
                 raise ConfigError(f"unknown scheme tag '{s}'")
+        if "tts-pdd" in self.schemes and self.scenario.num_users != 1:
+            raise ConfigError("tts-pdd is the single-user long-term scheme")
         self.q_bits = tuple(_integer(q, "q_bits") for q in self.q_bits)
         if any(q < 0 for q in self.q_bits):
             raise ConfigError("q_bits entries must be >= 0 (0 = continuous)")
@@ -181,10 +181,9 @@ def _section(raw, where: str, keys) -> dict:
 
 _TOP_KEYS = ("seed", "scenario", "experiment")
 _SCENARIO_KEYS = ("ap_position", "ap_antennas", "irs_position", "irs_shape", "user_positions",
-                  "transmit_power_dbm", "transmit_power_watts", "noise_power_dbm",
-                  "noise_power_watts", "path_loss", "rician", "correlation")
-_PATH_LOSS_KEYS = ("c0_db", "c0", "d0_m", "alpha_au", "alpha_ai", "alpha_iu")
-_RICIAN_KEYS = tuple(f"{b}{u}" for b in ("beta_au", "beta_ai", "beta_iu") for u in ("", "_db"))
+                  "transmit_power_dbm", "noise_power_dbm", "path_loss", "rician", "correlation")
+_PATH_LOSS_KEYS = ("c0_db", "d0_m", "alpha_au", "alpha_ai", "alpha_iu")
+_RICIAN_KEYS = ("beta_au_db", "beta_ai_db", "beta_iu_db")
 _CORRELATION_KEYS = ("r_d", "r_r", "r_rk")
 # `threads` is accepted and ignored: trials run in one thread, and older
 # configs still carry the setting
@@ -200,49 +199,31 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     corr_raw = _section(_require(raw, "correlation", "scenario"), "correlation",
                         _CORRELATION_KEYS)
     try:
-        noise = raw.get("noise_power_dbm", None)
-        if noise is not None:
-            noise_powers = [dbm_to_watts(x) for x in np.atleast_1d(noise)]
-        else:
-            noise_powers = list(np.atleast_1d(_require(raw, "noise_power_watts", "scenario")))
-        if "transmit_power_dbm" in raw:
-            power = dbm_to_watts(raw["transmit_power_dbm"])
-        else:
-            power = float(_require(raw, "transmit_power_watts", "scenario"))
         pathloss = PathLossModel(
-            c0=db_to_linear(pl_raw["c0_db"]) if "c0_db" in pl_raw else float(pl_raw["c0"]),
+            c0=db_to_linear(_require(pl_raw, "c0_db", "path_loss")),
             d0=float(pl_raw.get("d0_m", 1.0)),
             alpha_au=float(pl_raw.get("alpha_au", 3.4)),
             alpha_ai=float(pl_raw.get("alpha_ai", 2.2)),
             alpha_iu=float(pl_raw.get("alpha_iu", 3.0)),
         )
-
-        def beta(name):
-            if f"{name}_db" in rician_raw:
-                return db_to_linear(rician_raw[f"{name}_db"])
-            return float(rician_raw[name])
-
-        rician = RicianFactors(beta_au=beta("beta_au"), beta_ai=beta("beta_ai"),
-                               beta_iu=beta("beta_iu"))
+        # a Rayleigh link is -.inf dB, which loads as 0
+        rician = RicianFactors(*(db_to_linear(_require(rician_raw, key, "rician"))
+                                 for key in _RICIAN_KEYS))
         correlation = CorrelationSpec(
             r_d=float(corr_raw.get("r_d", 0.0)),
             r_r=float(corr_raw.get("r_r", 0.0)),
-            r_rk=tuple(float(x) for x in np.atleast_1d(corr_raw.get("r_rk", 0.0))),
+            r_rk=corr_raw.get("r_rk", 0.0),
         )
-        user_positions = np.asarray(_require(raw, "user_positions", "scenario"), dtype=float)
-        r_rk = correlation.r_rk
-        if len(r_rk) == 1 and user_positions.shape[0] > 1:
-            correlation = CorrelationSpec(r_d=correlation.r_d, r_r=correlation.r_r,
-                                          r_rk=r_rk * user_positions.shape[0])
         return Scenario(
             ap_position=_require(raw, "ap_position", "scenario"),
             ap_antennas=_integer(_require(raw, "ap_antennas", "scenario"), "ap_antennas"),
             irs_position=_require(raw, "irs_position", "scenario"),
             irs_shape=tuple(_integer(x, "irs_shape")
                             for x in _require(raw, "irs_shape", "scenario")),
-            user_positions=user_positions,
-            transmit_power=power,
-            noise_powers=noise_powers,
+            user_positions=_require(raw, "user_positions", "scenario"),
+            transmit_power=dbm_to_watts(_require(raw, "transmit_power_dbm", "scenario")),
+            noise_powers=[dbm_to_watts(x) for x in
+                          np.atleast_1d(_require(raw, "noise_power_dbm", "scenario"))],
             path_loss=pathloss,
             rician=rician,
             correlation=correlation,

@@ -31,7 +31,7 @@ Q_INSENSITIVE_SCHEMES = ("no-irs",)
 
 
 class ExperimentError(RuntimeError):
-    """Raised when too many trials fail or a scheme is misconfigured."""
+    """Raised when too many trials fail or a sweep variable is unknown."""
 
 
 @dataclass
@@ -45,7 +45,6 @@ class ResultRecord:
     weighted_sum_rate: float
     std_error: float              # std error of the per-trial weighted rates
     trials_used: int
-    failures: int
 
 
 @dataclass
@@ -145,8 +144,6 @@ def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 # attribute (as a profiler or tracer does) sees every call.
 
 def _tts_pdd(t: _Trial, levels: int, q: int) -> np.ndarray:
-    if t.scsi.num_users != 1:
-        raise ExperimentError("tts-pdd is the single-user long-term scheme")
     return _adaptive_precoders(t, pdd_solve(t.qf, PddParams(levels=levels)).config.v)
 
 
@@ -168,8 +165,9 @@ def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
-    cfg = baselines.naive_icsi(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise)
-    return _adaptive_precoders(t, cfg.v)
+    # phases designed on the first slot only, then frozen
+    design = baselines.icsi_per_slot(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise)
+    return _adaptive_precoders(t, design.v)
 
 
 def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
@@ -258,7 +256,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRecord]:
                 weighted_sum_rate=ps.mean,
                 std_error=ps.std_error,
                 trials_used=ps.weighted.size,
-                failures=failures,
             ))
         log.info("sweep point %s done in %.1fs (%d failures)", value, elapsed, failures)
     records.sort(key=lambda r: (r.sweep_value if r.sweep_value is not None else 0.0,

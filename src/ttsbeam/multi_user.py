@@ -103,7 +103,6 @@ class WmmseState:
 
     w: np.ndarray              # (K, M)
     u_rx: np.ndarray           # (K,) receive scalars
-    mse: np.ndarray            # (K,)
     weights: np.ndarray        # (K,) MSE weights alpha_k / e_k
     mu: float                  # power Lagrange multiplier
     objective: float           # weighted sum-rate, bits/s/Hz
@@ -224,7 +223,7 @@ def wmmse_solve_batch(
     for s in range(n_items):
         if not norms[s].any():
             out[s] = WmmseState(w=np.zeros((k_users, m), dtype=complex),
-                                u_rx=np.zeros(k_users, dtype=complex), mse=np.ones(k_users),
+                                u_rx=np.zeros(k_users, dtype=complex),
                                 weights=weights_alpha.copy(), mu=0.0, objective=0.0,
                                 trace=[0.0], iterations=0)
         else:
@@ -252,9 +251,8 @@ def wmmse_solve_batch(
             traces[j].append(new_obj)
             objs[j] = new_obj
             if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
-                out[live[j]] = WmmseState(w=w[j], u_rx=u[j], mse=mse[j], weights=mw[j],
-                                          mu=mus[j], objective=new_obj, trace=traces[j],
-                                          iterations=its)
+                out[live[j]] = WmmseState(w=w[j], u_rx=u[j], weights=mw[j], mu=mus[j],
+                                          objective=new_obj, trace=traces[j], iterations=its)
             else:
                 keep.append(j)
         if len(keep) < len(live):

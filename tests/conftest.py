@@ -153,7 +153,7 @@ def reference_icsi_per_slot(ch, levels, weights_alpha, power, noise):
         prev = objectives[-2] if len(objectives) > 1 else None
         if prev is not None and obj - prev <= ICSI_REL_TOL * max(abs(prev), 1e-12):
             break
-        state = WmmseState(w=w, u_rx=u, mse=None, weights=mw, mu=0.0, objective=obj)
+        state = WmmseState(w=w, u_rx=u, weights=mw, mu=0.0, objective=obj)
         v = reference_bcd(_mse_quadratic_form(state, ch), levels, v0=v)[0]
     else:
         w = reference_wmmse(effective_channels(v, ch), weights_alpha, power, noise, w0=w)[0]

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ttsbeam import (
+    ExperimentSpec,
     SscaParams,
     baselines,
     build_scsi,
     effective_channels,
     icsi_per_slot,
     mrt_rate,
-    naive_icsi,
     no_irs_rate,
     random_phase,
     sample_batch,
@@ -22,6 +22,7 @@ from ttsbeam import (
 from ttsbeam.baselines import ICSI_PDD, slot_quadratic_forms
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
 from ttsbeam.single_user import pdd_solve_batch
+import ttsbeam.harness as harness
 
 from conftest import cscg, reference_icsi_per_slot, reference_rates, small_scenario
 
@@ -99,7 +100,7 @@ class TestNoIrs:
             ch = sample_instantaneous(scsi, substream(800 + i, "slot"))
             base = no_irs_rate(ch, np.ones(1), p, noise)[0]
             design = icsi_per_slot(ch, 0, np.ones(1), p, noise)
-            h = effective_channels(design.config.v, ch)[0]
+            h = effective_channels(design.v, ch)[0]
             rate = mrt_rate(h, p, float(noise[0]))
             wins += rate >= base - 1e-9
         assert wins == 100
@@ -115,11 +116,11 @@ class TestNaiveIcsi:
         scsi.s_iu[:] = 0.0
         p, noise = scen.transmit_power, scen.noise_powers
         first = sample_instantaneous(scsi, substream(41, "slot", 0))
-        frozen = naive_icsi(first, 0, np.ones(1), p, noise)
+        frozen = icsi_per_slot(first, 0, np.ones(1), p, noise)
         later = sample_instantaneous(scsi, substream(41, "slot", 7))
         design = icsi_per_slot(later, 0, np.ones(1), p, noise)
         r_frozen = mrt_rate(effective_channels(frozen.v, later)[0], p, float(noise[0]))
-        r_fresh = mrt_rate(effective_channels(design.config.v, later)[0], p, float(noise[0]))
+        r_fresh = mrt_rate(effective_channels(design.v, later)[0], p, float(noise[0]))
         assert r_frozen == pytest.approx(r_fresh, rel=1e-9)
 
     def test_coherent_combining_no_direct_link(self, rng):
@@ -128,7 +129,7 @@ class TestNaiveIcsi:
         ch = InstantaneousChannels(g=cscg(rng, (n, 1)), h_r=cscg(rng, (1, n)),
                                    h_d=np.zeros((1, 1), complex))
         p, sig = 1.7, 0.3
-        cfg = naive_icsi(ch, 0, np.ones(1), p, np.array([sig]))
+        cfg = icsi_per_slot(ch, 0, np.ones(1), p, np.array([sig]))
         h = effective_channels(cfg.v, ch)[0]
         achieved = np.log2(1 + p * np.abs(h[0]) ** 2 / sig)
         coherent = np.sum(np.abs(ch.h_r[0]) * np.abs(ch.g[:, 0]))
@@ -144,23 +145,29 @@ class TestNaiveIcsi:
         p, noise = scen.transmit_power, scen.noise_powers
         scsi = build_scsi(scen, substream(42, "s"))
         first = sample_instantaneous(scsi, substream(42, "slot", 0))
-        frozen = naive_icsi(first, 0, np.ones(1), p, noise)
+        frozen = icsi_per_slot(first, 0, np.ones(1), p, noise)
         r_naive, r_icsi = [], []
         for s in range(1, 120):
             ch = sample_instantaneous(scsi, substream(42, "slot", s))
             r_naive.append(mrt_rate(effective_channels(frozen.v, ch)[0], p, float(noise[0])))
             design = icsi_per_slot(ch, 0, np.ones(1), p, noise)
-            r_icsi.append(mrt_rate(effective_channels(design.config.v, ch)[0], p, float(noise[0])))
+            r_icsi.append(mrt_rate(effective_channels(design.v, ch)[0], p, float(noise[0])))
         assert np.mean(r_naive) <= np.mean(r_icsi)
 
     def test_multiuser_freezes_first_slot_phases(self):
+        # the harness cell holds the first slot's design phases in every slot
+        # and re-solves only the precoders
         scen = small_scenario(users=2, n_shape=(2, 2), m=2)
-        scsi = build_scsi(scen, substream(43, "s"))
-        p, noise = scen.transmit_power, scen.noise_powers
-        first = sample_instantaneous(scsi, substream(43, "slot", 0))
-        cfg = naive_icsi(first, 2, np.ones(2), p, noise)
-        ref = icsi_per_slot(first, 2, np.ones(2), p, noise)
-        assert np.array_equal(cfg.v, ref.config.v)
+        p, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(2)
+        spec = ExperimentSpec(scenario=scen, schemes=("naive-icsi",), q_bits=(1,), slots=3,
+                              trials=1, weights=alpha, seed=43)
+        out = harness._run_trial(scen, spec, 0)[("naive-icsi", 1)]
+        scsi = build_scsi(scen, substream(43, "scsi", 0))
+        chs = [sample_instantaneous(scsi, substream(43, "samples", 0, s)) for s in range(3)]
+        v = icsi_per_slot(chs[0], 2, alpha, p, noise).v
+        expected = [reference_rates(v, wmmse_solve(effective_channels(v, ch), alpha, p, noise).w,
+                                    ch, noise) for ch in chs]
+        np.testing.assert_allclose(out, np.mean(expected, axis=0), rtol=1e-12)
 
 
 class TestSingleTimescale:
@@ -214,13 +221,15 @@ class TestSingleTimescale:
 
 class TestIcsiPerSlot:
     def test_single_user_matches_first_slot_design(self):
+        # one slot, one user: one (N,) phase vector, MRT, and its rate as the objective
         scen = small_scenario(n_shape=(2, 3), m=3)
         scsi = build_scsi(scen, substream(46, "s"))
         p, noise = scen.transmit_power, scen.noise_powers
         ch = sample_instantaneous(scsi, substream(46, "slot"))
-        a = naive_icsi(ch, 2, np.ones(1), p, noise)
-        b = icsi_per_slot(ch, 2, np.ones(1), p, noise)
-        assert np.array_equal(a.v, b.config.v)
+        design = icsi_per_slot(ch, 2, np.ones(1), p, noise)
+        assert design.v.shape == (6,) and design.w.shape == (1, 3)
+        rate = mrt_rate(effective_channels(design.v, ch)[0], p, float(noise[0]))
+        assert design.round_objectives == [pytest.approx(rate, rel=1e-12)]
 
     def test_rounds_monotone(self):
         scen = small_scenario(users=3, n_shape=(2, 3), m=3)
@@ -245,7 +254,7 @@ class TestIcsiPerSlot:
             scsi = build_scsi(scen, substream(950 + i, "s"))
             ch = sample_instantaneous(scsi, substream(950 + i, "slot"))
             design = icsi_per_slot(ch, 2, weights, p, noise)
-            got = wmmse_solve(effective_channels(design.config.v, ch), weights, p, noise).objective
+            got = wmmse_solve(effective_channels(design.v, ch), weights, p, noise).objective
             best = 0.0
             for code in range(2 ** 6):
                 bits = (code >> np.arange(6)) & 1
@@ -305,6 +314,3 @@ class TestIcsiPerSlot:
         for s in range(4):
             one = icsi_per_slot(ch.slot(s), 2, alpha, p, noise)
             assert np.array_equal(one.v, stack.v[s]) and np.array_equal(one.w, stack.w[s])
-        assert np.array_equal(naive_icsi(ch.slot(0), 2, alpha, p, noise).v, stack.v[0])
-        with pytest.raises(ValueError):
-            stack.config

@@ -129,6 +129,20 @@ class TestKronCorrelation:
         with pytest.raises(ValueError):
             kron_correlation(np.eye(2) + 0j, np.eye(2))
 
+    def test_rejects_asymmetry_within_default_rtol(self):
+        # 5e-6 passes np.allclose's default rtol=1e-5 but is 5e4 times SYM_TOL
+        phi = exp_correlation(4, 0.5)
+        phi[0, 1] += 5e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            kron_correlation(phi, np.eye(2))
+
+    def test_rejects_diagonal_within_default_rtol(self):
+        # the unit-diagonal bound is absolute: 9e-6 is 9e3 times it
+        phi = exp_correlation(4, 0.5)
+        phi[2, 2] = 1.000009
+        with pytest.raises(ValueError, match="unit diagonal"):
+            kron_correlation(np.eye(2), phi)
+
 
 class TestPsdSqrt:
     def test_identity(self):
@@ -158,6 +172,20 @@ class TestPsdSqrt:
             psd_sqrt(np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(ValueError):
             psd_sqrt(np.eye(2).astype(complex))
+
+    def test_rejects_asymmetry_within_default_rtol(self):
+        # accepted, this matrix would get a root whose square misses it by 5e-6
+        phi = exp_correlation(4, 0.5)
+        phi[0, 1] += 5e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            psd_sqrt(phi)
+
+    def test_symmetry_bound_scales_with_the_matrix(self):
+        # asymmetry 1e-12 relative to the largest entry is rounding, at any scale
+        phi = 1e6 * exp_correlation(4, 0.5)
+        phi[0, 1] += 1e-6
+        s = psd_sqrt(phi)
+        assert np.linalg.norm(s @ s - phi) <= 1e-8 * np.linalg.norm(phi)
 
     def test_clamps_tiny_negative(self):
         phi = np.diag([1.0, -5e-11])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttsbeam import ConfigError, dbm_to_watts, db_to_linear, load_config
+from ttsbeam import ConfigError, SweepSpec, dbm_to_watts, db_to_linear, load_config
 from ttsbeam.cli import cli_main
 from ttsbeam.config import (
     default_multi_user_scenario,
@@ -120,12 +120,34 @@ class TestLoadConfig:
         ("beta_iu_db: 3.0}", "beta_iu_db: 3.0, beta_ui_db: 1.0}", "beta_ui_db", "rician"),
         ("seed: 123", "sead: 123", "sead", "top-level"),
         ("  trials: 2", "  trials: 2\n  ssca: {max_iter: 8}", "max_iter", "ssca"),
-    ], ids=["rician", "top-level", "ssca"])
+        ("transmit_power_dbm: 5.0", "transmit_power_watts: 0.00316", "transmit_power_watts",
+         "scenario"),
+    ], ids=["rician", "top-level", "ssca", "watts"])
     def test_unknown_key_is_named(self, tmp_path, old, new, key, section):
         path = tmp_path / "typo.yaml"
         path.write_text(TINY_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=f"'{key}' in {section} section"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("old, key, section", [
+        ("c0_db: -30.0", "c0_db", "path_loss"),
+        ("beta_ai_db: 3.0, ", "beta_ai_db", "rician"),
+        ("  noise_power_dbm: [-80.0]\n", "noise_power_dbm", "scenario"),
+    ], ids=["path_loss", "rician", "scenario"])
+    def test_missing_unit_key_is_named(self, tmp_path, old, key, section):
+        path = tmp_path / "missing.yaml"
+        path.write_text(TINY_CONFIG.replace(old, ""))
+        with pytest.raises(ConfigError, match=f"missing '{key}' in {section} section"):
+            load_config(str(path))
+
+    def test_rayleigh_link_is_minus_infinity_db(self, tmp_path):
+        path = tmp_path / "rayleigh.yaml"
+        path.write_text(TINY_CONFIG.replace("beta_au_db: -3.0", "beta_au_db: -.inf"))
+        assert load_config(str(path)).scenario.rician.beta_au == 0.0
+
+    def test_sweep_variable_takes_its_full_name_only(self):
+        with pytest.raises(ConfigError, match="unknown sweep variable 'd'"):
+            SweepSpec(variable="d", grid=[40.0])
 
     @pytest.mark.parametrize("old,new,key", [
         ("  slots: 2", "  slots: 2.5", "slots"),
@@ -192,6 +214,22 @@ class TestCli:
         assert "unknown key 'slotz' in experiment section" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_spelling_exits_one(self, tmp_path, capsys):
+        cfg, out = tmp_path / "linear.yaml", tmp_path / "out.csv"
+        cfg.write_text(TINY_CONFIG.replace("{c0_db: -30.0}", "{c0: 0.001}"))
+        assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown key 'c0' in path_loss section" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tts_pdd_on_multiuser_exits_one(self, tmp_path, capsys):
+        cfg, out = tmp_path / "mu.yaml", tmp_path / "out.csv"
+        cfg.write_text(TINY_CONFIG.replace("user_positions: [[2.0, 50.0, 0.0]]",
+                                           "user_positions: [[2.0, 50.0, 0.0], [3.0, 50.0, 0.0]]")
+                       .replace("r_rk: [0.5]", "r_rk: [0.3, 0.6]"))
+        assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: tts-pdd is the single-user" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_count_exits_one(self, tmp_path, capsys):
         cfg, out = tmp_path / "count.yaml", tmp_path / "out.csv"
         cfg.write_text(TINY_CONFIG.replace("  slots: 2", "  slots: 2.5"))
@@ -202,7 +240,7 @@ class TestCli:
     def test_non_numeric_grid_exits_one(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli_main(["--quiet", "sweep", "--config", tiny_config, "--out", str(out),
-                         "--var", "d", "--grid", "40,abc"])
+                         "--var", "ap_user_distance", "--grid", "40,abc"])
         assert code == 1
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
@@ -246,6 +284,21 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "outer_iter,inner_iter,al_value,objective,violation_inf_norm"
         assert len(lines) > 2
+
+    def test_convergence_trace_without_config(self, tmp_path, monkeypatch):
+        # the default single-user scenario at seed 0, unless --seed is given
+        monkeypatch.delenv("TTSBEAM_SEED", raising=False)
+        runs = [[], ["--seed", "0"], ["--seed", "3"]]
+        traces = []
+        for i, seed in enumerate(runs):
+            out = tmp_path / f"trace{i}.csv"
+            assert cli_main(["--quiet", *seed, "convergence", "--scheme", "tts-pdd",
+                             "--out", str(out)]) == 0
+            traces.append(out.read_bytes())
+        header = b"outer_iter,inner_iter,al_value,objective,violation_inf_norm\n"
+        assert traces[0].startswith(header) and traces[0].count(b"\n") > 2
+        assert traces[0] == traces[1]
+        assert traces[2] != traces[0]
 
     def test_convergence_trace_ssca(self, tmp_path, monkeypatch):
         cfg = tmp_path / "mu.yaml"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttsbeam import (
+    ConfigError,
     ExperimentSpec,
     PddParams,
     SscaParams,
@@ -164,10 +165,10 @@ class TestRunExperiment:
             simulate_point(scen, spec)
 
     def test_tts_pdd_rejects_multiuser(self):
+        # a configuration error, raised when the spec is built, before any trial
         scen = small_scenario(users=2, n_shape=(2, 2), m=2)
-        spec = quick_spec(scen, schemes=("tts-pdd",), slots=1, trials=1)
-        with pytest.raises(ExperimentError):
-            run_experiment(spec)
+        with pytest.raises(ConfigError, match="tts-pdd is the single-user"):
+            quick_spec(scen, schemes=("random-phase", "tts-pdd"), slots=1, trials=1)
 
 
 def _slots(scen, seed, trial, slots):
@@ -184,12 +185,12 @@ class TestSchemeTable:
     def test_every_tag_runs(self, users):
         scen = small_scenario(users=users, n_shape=(2, 2), m=2)
         for tag in SCHEME_TAGS:
+            if tag == "tts-pdd" and users > 1:
+                with pytest.raises(ConfigError):
+                    quick_spec(scen, schemes=(tag,), slots=2, trials=1)
+                continue
             spec = quick_spec(scen, schemes=(tag,), q_bits=(1,), slots=2, trials=1,
                               ssca=SscaParams(max_iters=3))
-            if tag == "tts-pdd" and users > 1:
-                with pytest.raises(ExperimentError):
-                    harness._run_trial(scen, spec, 0)
-                continue
             (rates,) = harness._run_trial(scen, spec, 0).values()
             assert rates.shape == (users,), tag
             assert np.all(np.isfinite(rates)) and np.all(rates >= 0) and rates.sum() > 0, tag
@@ -247,7 +248,7 @@ class TestSchemeTable:
                                       rng=substream(seed, "ssca", trial, q, "st"))
             designs = [(cfg.v, w)] * slots
         else:
-            designs = [(d.config.v, d.w) for d in
+            designs = [(d.v, d.w) for d in
                        (icsi_per_slot(ch, levels, spec.weights, p, noise) for ch in chs)]
         expected = np.mean([reference_rates(v, w, ch, noise)
                             for (v, w), ch in zip(designs, chs)], axis=0)
@@ -265,7 +266,7 @@ class TestEmitCsv:
     def test_roundtrip_single_record(self, tmp_path):
         rec = ResultRecord(sweep_value=50.0, scheme="no-irs", q_bits=0,
                            user_rates=np.array([1.234567]), weighted_sum_rate=1.234567,
-                           std_error=0.01, trials_used=10, failures=0)
+                           std_error=0.01, trials_used=10)
         path = tmp_path / "one.csv"
         emit_csv([rec], str(path))
         lines = path.read_text().splitlines()
@@ -277,7 +278,7 @@ class TestEmitCsv:
     def test_six_significant_digits(self, tmp_path):
         rec = ResultRecord(sweep_value=None, scheme="no-irs", q_bits=0,
                            user_rates=np.array([np.pi]), weighted_sum_rate=np.pi,
-                           std_error=np.pi * 1e-4, trials_used=1, failures=0)
+                           std_error=np.pi * 1e-4, trials_used=1)
         path = tmp_path / "digits.csv"
         emit_csv([rec], str(path))
         assert "3.14159" in path.read_text()
@@ -287,7 +288,7 @@ class TestEmitCsv:
         records = [
             ResultRecord(sweep_value=float(i % 7), scheme="random-phase", q_bits=i % 3,
                          user_rates=rng.uniform(0, 5, 2), weighted_sum_rate=float(rng.uniform(0, 10)),
-                         std_error=float(rng.uniform(0, 0.1)), trials_used=200, failures=0)
+                         std_error=float(rng.uniform(0, 0.1)), trials_used=200)
             for i in range(1000)
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

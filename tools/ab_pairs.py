@@ -13,6 +13,9 @@ PARENT's by more than the bound. "unresolved": PARENT's quartile range is
 wider than the bound and CHANGE's median lies inside it, so the runs cannot
 tell the two sides apart. Otherwise "within bound". The checkouts' files are
 only read; each run writes its output under its own perfbench/out/.
+
+Exit status: 1 when any metric is "worse" or any run is not correct or has
+failed trials, else 0 ("unresolved" is printed but does not fail).
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ def main(argv=None) -> int:
               f"change better in {s['pairs_change_better']} of {args.pairs}: {s['verdict']}")
     failed = [r for rs in runs.values() for r in rs if not r["correct"] or r["failed"]]
     print(f"runs not correct or with failed trials: {len(failed)}")
-    return 1 if failed else 0
+    worse = [name for name, s in summary.items() if s["verdict"] == "worse"]
+    return 1 if failed or worse else 0
 
 
 if __name__ == "__main__":
