@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import (
     InstantaneousChannels,
+    _cscg as cscg,
     build_scsi,
     effective_channels,
     exp_correlation,
@@ -172,7 +173,9 @@ def _validate(args) -> int:
                  np.linalg.norm(s @ s - corr) <= 1e-8 * np.linalg.norm(corr))
 
     rng = substream(seed, "validate", "scsi")
-    su = scenario if scenario.num_users == 1 else default_single_user_scenario()
+    multi = scenario.num_users > 1
+    su = default_single_user_scenario() if multi else scenario
+    su_note = " (default single-user scenario)" if multi else ""
     scsi = build_scsi(su, rng)
     qf = build_quadratic_form(scsi)
     v = np.exp(1j * substream(seed, "validate", "v").uniform(0, 2 * np.pi, su.num_elements))
@@ -180,7 +183,7 @@ def _validate(args) -> int:
         *sample_batch(scsi, 20000, substream(seed, "validate", "mc"))))
     mc = float(np.mean(np.sum(np.abs(h_eff) ** 2, axis=-1)))
     analytic = qf.expected_gain(v)
-    ok &= _check("average channel power matches quadratic form",
+    ok &= _check("average channel power matches quadratic form" + su_note,
                  abs(mc - analytic) <= 0.03 * analytic,
                  f"mc={mc:.4e} analytic={analytic:.4e}")
 
@@ -196,55 +199,69 @@ def _validate(args) -> int:
         hit += res.objective >= 0.95 * ref.objective
     ok &= _check("penalty solver near brute-force optimum", hit >= 4, f"{hit}/5")
 
-    rng_w = substream(seed, "validate", "wmmse")
-    h = (rng_w.standard_normal((3, 4)) + 1j * rng_w.standard_normal((3, 4))) / np.sqrt(2)
-    state = wmmse_solve(h, np.ones(3), 1.0, np.ones(3) * 0.1)
-    mono = all(b >= a - 1e-9 for a, b in zip(state.trace, state.trace[1:]))
-    ok &= _check("precoder iteration monotone", mono)
-    h1 = h[:1]
+    if multi:
+        # the multi-user checks run on slots drawn from the config's own
+        # statistical CSI at random phases, with its power, noise and weights
+        scsi_mu = build_scsi(scenario, substream(seed, "validate", "mu-scsi"))
+        v = np.exp(1j * substream(seed, "validate", "mu-v").uniform(
+            0, 2 * np.pi, scenario.num_elements))
+        slots = InstantaneousChannels(
+            *sample_batch(scsi_mu, 4, substream(seed, "validate", "mu-slots")))
+        hs = effective_channels(v, slots)
+        power, noise, weights = scenario.transmit_power, scenario.noise_powers, spec.weights
+        where = " (config channels)"
+    else:
+        # toy problems: (3, 4) channels over two decades of scale, so the items
+        # stop at different iterations
+        hs = cscg(substream(seed, "validate", "wmmse-stack"), (4, 3, 4))
+        hs *= np.logspace(-1.0, 1.0, 4)[:, None, None]
+        power, noise, weights = 1.0, np.full(3, 0.1), np.ones(3)
+        where = ""
+
+    stacked = wmmse_solve_batch(hs, weights, power, noise)
+    mono = all(b >= a - 1e-9 for st in stacked for a, b in zip(st.trace, st.trace[1:]))
+    ok &= _check("precoder iteration monotone" + where, mono)
+    h1 = cscg(substream(seed, "validate", "wmmse"), (3, 4))[:1]
     state1 = wmmse_solve(h1, np.ones(1), 1.0, np.array([0.1]))
     ok &= _check("single-user precoder matches matched filter",
                  abs(state1.objective - mrt_rate(h1[0], 1.0, 0.1)) <= 1e-6)
-
-    rng_s = substream(seed, "validate", "wmmse-stack")
-    # channel scales over two decades, so the items stop at different iterations
-    hs = (rng_s.standard_normal((4, 3, 4)) + 1j * rng_s.standard_normal((4, 3, 4))) / np.sqrt(2)
-    hs *= np.logspace(-1.0, 1.0, 4)[:, None, None]
-    problem = (np.ones(3), 1.0, np.full(3, 0.1))
-    stacked = wmmse_solve_batch(hs, *problem)
-    alone = [wmmse_solve(hi, *problem) for hi in hs]
+    alone = [wmmse_solve(hi, weights, power, noise) for hi in hs]
     same = all(np.array_equal(a.w, b.w) and a.iterations == b.iterations
                for a, b in zip(stacked, alone))
-    within = all(np.sum(np.abs(a.w) ** 2) <= 1.0 + WATER_LEVEL_TOL + 1e-14 for a in stacked)
-    ok &= _check("stacked precoders match one-by-one", same and within,
+    within = all(np.sum(np.abs(a.w) ** 2) <= power * (1.0 + WATER_LEVEL_TOL + 1e-14)
+                 for a in stacked)
+    ok &= _check("stacked precoders match one-by-one" + where, same and within,
                  f"iterations {[a.iterations for a in stacked]}")
 
-    rng_j = substream(seed, "validate", "jac")
-    n, m, k = 5, 3, 2
-    ch = InstantaneousChannels(
-        g=(rng_j.standard_normal((n, m)) + 1j * rng_j.standard_normal((n, m))) / np.sqrt(2),
-        h_r=(rng_j.standard_normal((k, n)) + 1j * rng_j.standard_normal((k, n))) / np.sqrt(2),
-        h_d=(rng_j.standard_normal((k, m)) + 1j * rng_j.standard_normal((k, m))) / np.sqrt(2),
-    )
-    w = (rng_j.standard_normal((k, m)) + 1j * rng_j.standard_normal((k, m))) / np.sqrt(2)
-    vv = np.exp(1j * rng_j.uniform(0, 2 * np.pi, n))
-    noise = np.full(k, 0.3)
-    _, c = instantaneous_rates(vv, w, ch, noise)
+    if multi:
+        # Jacobian entries reach 1e-7 at the config's scale: there the rounding
+        # of a 1e-6 step (about 5e-10) alone exceeds the 1e-5 tolerance, and
+        # that of a 1e-4 step (about 5e-12) does not
+        ch, w, eps = slots.slot(0), stacked[0].w, 1e-4
+    else:
+        rng_j = substream(seed, "validate", "jac")
+        n, m, k = 5, 3, 2
+        ch = InstantaneousChannels(g=cscg(rng_j, (n, m)), h_r=cscg(rng_j, (k, n)),
+                                   h_d=cscg(rng_j, (k, m)))
+        w = cscg(rng_j, (k, m))
+        v = np.exp(1j * rng_j.uniform(0, 2 * np.pi, n))
+        noise, eps = np.full(k, 0.3), 1e-6
+    _, c = instantaneous_rates(v, w, ch, noise)
     jac = rate_jacobian(ch, w, c, noise)
-    eps = 1e-6
     worst = 0.0
-    for idx in range(n):
+    for idx in range(v.size):
         for re_im, ref in ((1.0, 2 * jac[idx].real), (1j, 2 * jac[idx].imag)):
-            dv = np.zeros(n, dtype=complex)
+            dv = np.zeros(v.size, dtype=complex)
             dv[idx] = re_im * eps
-            rp, _ = instantaneous_rates(vv + dv, w, ch, noise)
-            rm, _ = instantaneous_rates(vv - dv, w, ch, noise)
+            rp, _ = instantaneous_rates(v + dv, w, ch, noise)
+            rm, _ = instantaneous_rates(v - dv, w, ch, noise)
             fd = (rp - rm) / (2 * eps)
             worst = max(worst, float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-6))))
-    ok &= _check("rate gradient matches finite differences", worst < 1e-5, f"max rel err {worst:.2e}")
+    ok &= _check("rate gradient matches finite differences" + where, worst < 1e-5,
+                 f"max rel err {worst:.2e}")
 
-    scsi_a = build_scsi(su, substream(seed, "validate", "det"))
-    scsi_b = build_scsi(su, substream(seed, "validate", "det"))
+    scsi_a = build_scsi(scenario, substream(seed, "validate", "det"))
+    scsi_b = build_scsi(scenario, substream(seed, "validate", "det"))
     same = (np.array_equal(scsi_a.zbar_r, scsi_b.zbar_r)
             and np.array_equal(scsi_a.fbar, scsi_b.fbar))
     ok &= _check("statistical CSI reproducible from seed", same)

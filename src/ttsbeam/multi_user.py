@@ -424,13 +424,15 @@ def ssca_run(
 ) -> SscaResult:
     """Sample-driven ascent of the average weighted sum-rate over the phases.
 
-    Each iteration draws fresh channel samples, solves the per-sample precoding
-    problem at the current phases, refreshes the surrogate from the sampled
-    rates and Jacobians, and takes a diminishing step toward the surrogate
-    maximizer. Stops once ||v_t - v_{t-1}||_inf stays below `params.tol` for
-    `params.patience` consecutive iterations (or, with `stop_when_stable`, as
-    soon as the weighted-rate trace meets the trailing-window stability rule);
-    the final iterate is projected onto the requested phase grid.
+    Each iteration draws fresh channel samples, solves their precoding
+    problems at the current phases in one `wmmse_solve_batch` call (sample i
+    starts from sample i's precoders of the previous iteration), refreshes the
+    surrogate from the sampled rates and Jacobians, and takes a diminishing
+    step toward the surrogate maximizer. Stops once ||v_t - v_{t-1}||_inf
+    stays below `params.tol` for `params.patience` consecutive iterations (or,
+    with `stop_when_stable`, as soon as the weighted-rate trace meets the
+    trailing-window stability rule); the final iterate is projected onto the
+    requested phase grid.
     """
     if amplitude not in ("relaxed", "unit"):
         raise ValueError("amplitude must be 'relaxed' or 'unit'")
@@ -444,17 +446,15 @@ def ssca_run(
     small_steps = 0
     converged = False
     stabilized_at: int | None = None
-    w_warm: np.ndarray | None = None
+    w: np.ndarray | None = None
     t = 0
     for t in range(1, params.max_iters + 1):
         samples = InstantaneousChannels(*sample_batch(scsi, params.samples_per_iter, rng))
         h_eff = effective_channels(state.v_prev, samples)
-        # each sample's solve starts from the previous sample's precoders
-        ws = []
-        for h in h_eff:
-            w_warm = wmmse_solve(h, weights_alpha, power, noise, w0=w_warm).w
-            ws.append(w_warm)
-        w = np.stack(ws)
+        # one stacked solve; sample i starts from sample i's precoders of the
+        # previous iteration (MRT at t = 1)
+        states = wmmse_solve_batch(h_eff, weights_alpha, power, noise, w0=w)
+        w = np.stack([st.w for st in states])
         rates, c = slot_rates(h_eff, w, noise)
         jacs = rate_jacobian(samples, w, c, noise)
 

@@ -339,3 +339,14 @@ class TestCli:
 class TestValidate:
     def test_validate_passes_on_defaults(self):
         assert cli_main(["--quiet", "--seed", "0", "validate"]) == 0
+
+    def test_multi_user_config_checks_its_own_channels(self, monkeypatch, capsys):
+        monkeypatch.delenv("TTSBEAM_SEED", raising=False)
+        config = str(Path(__file__).parent.parent / "configs" / "multi_user.yaml")
+        assert cli_main(["--quiet", "validate", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(ln.startswith("PASS  ") for ln in lines)
+        assert sum("(config channels)" in ln for ln in lines) == 3
+        # the same seed without the config: the built-in checks only
+        assert cli_main(["--quiet", "--seed", str(load_config(config).seed), "validate"]) == 0
+        assert capsys.readouterr().out.splitlines() != lines

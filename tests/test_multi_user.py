@@ -9,8 +9,10 @@ from ttsbeam import (
     SurrogateState,
     build_scsi,
     dbm_to_watts,
+    default_multi_user_scenario,
     effective_channels,
     instantaneous_rates,
+    levels_for_bits,
     mrt_precoder,
     mrt_rate,
     project_discrete,
@@ -23,6 +25,7 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
+from ttsbeam import multi_user
 from ttsbeam.multi_user import _solve_power_split, precoders, slot_rates, wmmse_solve_batch
 
 from conftest import (
@@ -668,3 +671,38 @@ class TestSscaRun:
         assert np.array_equal(runs[0].config.v, runs[1].config.v)
         t, rho, gamma, _, _ = runs[0].trace[0]
         assert (t, rho, gamma) == (1, 1.0, 1.0)
+
+    def test_one_batched_solve_per_iteration(self, monkeypatch):
+        # each iteration solves its samples in one stack, and sample i starts
+        # from sample i's precoders of the previous iteration
+        scen = default_multi_user_scenario()
+        scsi = build_scsi(scen, substream(35, "s"))
+        power, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(4)
+        batch_calls, single_calls = [], []
+
+        def spy_batch(h, *args, w0=None):
+            states = wmmse_solve_batch(h, *args, w0=w0)
+            batch_calls.append((h.copy(), None if w0 is None else w0.copy(), states))
+            return states
+
+        def spy_single(*args, **kwargs):
+            single_calls.append(args)
+            return wmmse_solve(*args, **kwargs)
+
+        monkeypatch.setattr(multi_user, "wmmse_solve_batch", spy_batch)
+        monkeypatch.setattr(multi_user, "wmmse_solve", spy_single)
+        ssca_run(scsi, power, noise, alpha, SscaParams(max_iters=6, patience=7),
+                 levels=levels_for_bits(2), rng=substream(35, "ssca"))
+
+        assert len(batch_calls) == 6 and not single_calls
+        assert batch_calls[0][1] is None
+        for (_, _, prev), (_, w0, _) in zip(batch_calls, batch_calls[1:]):
+            assert np.array_equal(w0, np.stack([st.w for st in prev]))
+        for h, _, states in batch_calls:
+            assert h.shape == (10, 4, 6)
+            for hs, state in zip(h, states):
+                assert np.sum(np.abs(state.w) ** 2) <= power * BUDGET
+                powers = np.abs(hs.conj() @ state.w.T) ** 2
+                rates = [np.log2(1.0 + powers[k, k] / (np.delete(powers[k], k).sum() + noise[k]))
+                         for k in range(4)]
+                assert state.objective == pytest.approx(float(alpha @ rates), rel=1e-9)

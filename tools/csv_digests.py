@@ -1,11 +1,13 @@
 """sha256 of the CSVs that `ttsbeam run` writes for six fixed comparison configs.
 
-    python3 tools/csv_digests.py
+    python3 tools/csv_digests.py [--keep DIR]
 
 Writes the configs to a temporary directory, runs `ttsbeam run` on each with
 the sources of this checkout and BLAS at one thread, and prints one line per
 config: its name and the sha256 of its CSV. Equal lines from two checkouts
-mean byte-identical CSVs on these configs. The configs:
+mean byte-identical CSVs on these configs. With `--keep DIR` the six CSVs are
+written to DIR as NAME.csv, so the cells that moved between two checkouts can
+be listed with `diff`. The configs:
 
 - su-shipped: `configs/single_user.yaml` at `trials: 2`;
 - mu-shipped: `configs/multi_user.yaml` at `trials: 1`, SSCA `max_iters: 100`;
@@ -18,6 +20,7 @@ mean byte-identical CSVs on these configs. The configs:
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
 import os
@@ -56,13 +59,19 @@ def comparison_configs() -> dict[str, dict]:
             "icsi-mu": icsi_mu, "su-all": su_all, "mu-all": mu_all}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--keep", type=Path, default=None, help="directory that keeps the CSVs")
+    args = p.parse_args(argv)
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("TTSBEAM_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in comparison_configs().items():
-            config, out = Path(tmp) / f"{name}.yaml", Path(tmp) / f"{name}.csv"
+            config = Path(tmp) / f"{name}.yaml"
+            out = (args.keep or Path(tmp)) / f"{name}.csv"
             config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
             subprocess.run([sys.executable, "-m", "ttsbeam.cli", "--quiet", "run",
                             "--config", str(config), "--out", str(out)], env=env, check=True)
