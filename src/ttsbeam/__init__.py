@@ -53,7 +53,6 @@ from .baselines import (
     icsi_per_slot,
     no_irs_rate,
     random_phase,
-    single_timescale,
 )
 from .config import (
     ConfigError,

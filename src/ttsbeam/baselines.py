@@ -1,6 +1,6 @@
-"""Reference transmission schemes: random phases, no reflecting surface,
-single-timescale freezing, and per-slot instantaneous-CSI optimization, whose
-one-slot design the first-slot-only scheme freezes.
+"""Reference transmission schemes: random phases, no reflecting surface, and
+per-slot instantaneous-CSI optimization, whose one-slot design the
+first-slot-only scheme freezes.
 """
 
 from __future__ import annotations
@@ -9,23 +9,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (
-    CONTINUOUS,
-    InstantaneousChannels,
-    PhaseConfig,
-    StatisticalCsi,
-    effective_channels,
-)
-from .multi_user import SscaParams, WmmseState, precoders, slot_rates, ssca_run, wmmse_solve_batch
+from .channel import CONTINUOUS, InstantaneousChannels, PhaseConfig, effective_channels
+from .multi_user import WmmseState, precoders, slot_rates, wmmse_solve_batch
 from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
-from .single_user import (
-    PddParams,
-    QuadraticForm,
-    bcd_solve,
-    build_quadratic_form,
-    pdd_solve,
-    pdd_solve_batch,
-)
+from .single_user import PddParams, QuadraticForm, bcd_solve, pdd_solve_batch
 
 # per-slot instantaneous designs re-solve a full problem 200+ times per trial;
 # the faster penalty schedule is inside the range the solver tolerates without
@@ -65,30 +52,6 @@ def slot_quadratic_forms(
     """
     d = h_r.conj()
     return d[..., :, None] * g, d * (g @ h_d[..., None])[..., 0]
-
-
-def single_timescale(
-    scsi: StatisticalCsi,
-    levels: int,
-    power: float,
-    noise: np.ndarray,
-    weights_alpha: np.ndarray,
-    ssca_params: SscaParams,
-    rng: np.random.Generator,
-) -> tuple[PhaseConfig, np.ndarray]:
-    """Freeze both the phases and the precoders from statistical CSI alone.
-
-    Phases come from the long-term optimizer (PDD for one user, SSCA with
-    `ssca_params` and `rng` for more); precoders are designed on the mean
-    effective channels and never adapted afterwards.
-    """
-    if scsi.num_users == 1:
-        config = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config
-    else:
-        config = ssca_run(scsi, power, noise, weights_alpha, ssca_params,
-                          levels=levels, rng=rng).config
-    h_mean = scsi.mean_effective_channels(config.v)
-    return config, precoders(h_mean, weights_alpha, power, noise)
 
 
 def _mse_quadratic_form(state: WmmseState, ch: InstantaneousChannels) -> QuadraticForm:

@@ -103,10 +103,12 @@ def _scheme_cells(spec: ExperimentSpec) -> list[tuple[str, int]]:
 
 
 class _Trial:
-    """One trial's draws: the statistical CSI and every slot, stacked over slots.
+    """One trial's draws, stacked over slots, and its slow-timescale designs.
 
     Substreams: the statistical CSI comes from ("scsi", trial) and slot s from
-    ("samples", trial, s); schemes draw theirs through `rng`.
+    ("samples", trial, s); schemes draw theirs through `rng`, `random-phase`
+    from ("phase", trial, s, q). Each design is made on first use and then
+    shared by every cell of the trial that reads it.
     """
 
     def __init__(self, scenario: Scenario, spec: ExperimentSpec, index: int):
@@ -117,13 +119,29 @@ class _Trial:
                  for s in range(spec.slots)]
         # g (S, N, M), h_r (S, K, N), h_d (S, K, M)
         self.ch = InstantaneousChannels(*(np.concatenate(parts) for parts in zip(*draws)))
+        self._designs: dict = {}
 
     def rng(self, name: str, *path) -> np.random.Generator:
         return substream(self.spec.seed, name, self.index, *path)
 
+    def _once(self, key, make):
+        if key not in self._designs:
+            self._designs[key] = make()
+        return self._designs[key]
+
     @cached_property
     def qf(self) -> QuadraticForm:
         return build_quadratic_form(self.scsi)
+
+    def pdd(self, levels: int) -> np.ndarray:
+        """(N,) single-user long-term phases on the `levels` grid."""
+        return self._once(("pdd", levels),
+                          lambda: pdd_solve(self.qf, PddParams(levels=levels)).config.v)
+
+    def icsi(self, levels: int) -> baselines.IcsiDesign:
+        """Per-slot instantaneous-CSI designs of the whole slot stack."""
+        return self._once(("icsi", levels), lambda: baselines.icsi_per_slot(
+            self.ch, levels, self.spec.weights, self.power, self.noise))
 
 
 def _adaptive_precoders(t: _Trial, v: np.ndarray) -> np.ndarray:
@@ -144,7 +162,7 @@ def _fixed_precoders(t: _Trial, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 # attribute (as a profiler or tracer does) sees every call.
 
 def _tts_pdd(t: _Trial, levels: int, q: int) -> np.ndarray:
-    return _adaptive_precoders(t, pdd_solve(t.qf, PddParams(levels=levels)).config.v)
+    return _adaptive_precoders(t, t.pdd(levels))
 
 
 def _tts_ssca(t: _Trial, levels: int, q: int) -> np.ndarray:
@@ -165,19 +183,29 @@ def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
-    # phases designed on the first slot only, then frozen
-    design = baselines.icsi_per_slot(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise)
-    return _adaptive_precoders(t, design.v)
+    # phases designed on the first slot only, then frozen; slot 0 of the stack
+    # design is that one-slot design bit for bit, so it is read from there
+    # when icsi-per-slot makes the stack design anyway
+    if "icsi-per-slot" in t.spec.schemes:
+        v = t.icsi(levels).v[0]
+    else:
+        v = baselines.icsi_per_slot(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise).v
+    return _adaptive_precoders(t, v)
 
 
 def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
-    cfg, w = baselines.single_timescale(t.scsi, levels, t.power, t.noise, t.spec.weights,
-                                        ssca_params=t.spec.ssca, rng=t.rng("ssca", q, "st"))
-    return _fixed_precoders(t, cfg.v, w)
+    # the trial's long-term phases, with precoders designed once on the mean channels
+    if t.scsi.num_users == 1:
+        v = t.pdd(levels)
+    else:
+        v = ssca_run(t.scsi, t.power, t.noise, t.spec.weights, t.spec.ssca, levels=levels,
+                     rng=t.rng("ssca", q, "st")).config.v
+    w = precoders(t.scsi.mean_effective_channels(v), t.spec.weights, t.power, t.noise)
+    return _fixed_precoders(t, v, w)
 
 
 def _icsi_per_slot(t: _Trial, levels: int, q: int) -> np.ndarray:
-    design = baselines.icsi_per_slot(t.ch, levels, t.spec.weights, t.power, t.noise)
+    design = t.icsi(levels)
     return _fixed_precoders(t, design.v, design.w)
 
 

@@ -15,7 +15,6 @@ from ttsbeam import (
     random_phase,
     sample_batch,
     sample_instantaneous,
-    single_timescale,
     substream,
     wmmse_solve,
 )
@@ -171,52 +170,57 @@ class TestNaiveIcsi:
 
 
 class TestSingleTimescale:
-    def test_deterministic_channels_match_adaptive_precoding(self):
-        # nothing to adapt to: frozen precoders perform like per-slot MRT
-        scen = small_scenario(n_shape=(2, 3), m=3)
-        scsi = build_scsi(scen, substream(44, "s"))
-        scsi.s_ai = 0.0
-        scsi.s_au[:] = 0.0
-        scsi.s_iu[:] = 0.0
-        p, noise = scen.transmit_power, scen.noise_powers
-        cfg, w = single_timescale(scsi, 2, p, noise, np.ones(1), SscaParams(),
-                                  substream(44, "ssca"))
-        ch = sample_instantaneous(scsi, substream(44, "slot"))
-        frozen_rates = reference_rates(cfg.v, w, ch, noise)
-        adaptive = mrt_rate(effective_channels(cfg.v, ch)[0], p, float(noise[0]))
-        assert frozen_rates[0] == pytest.approx(adaptive, rel=1e-9)
+    """The harness's `single-timescale` cell: the trial's long-term phases, with
+    precoders designed once on the mean channels."""
 
-    def test_power_budget(self):
+    def test_deterministic_channels_match_adaptive_precoding(self, monkeypatch):
+        # nothing to adapt to: frozen precoders perform like per-slot MRT, so
+        # the cell reads the tts-pdd cell's rate
+        def deterministic_scsi(scenario, rng):
+            scsi = build_scsi(scenario, rng)
+            scsi.s_ai = 0.0
+            scsi.s_au[:] = 0.0
+            scsi.s_iu[:] = 0.0
+            return scsi
+
+        monkeypatch.setattr(harness, "build_scsi", deterministic_scsi)
+        scen = small_scenario(n_shape=(2, 3), m=3)
+        spec = ExperimentSpec(scenario=scen, schemes=("single-timescale", "tts-pdd"),
+                              q_bits=(1,), slots=3, trials=1, weights=np.ones(1), seed=44)
+        out = harness._run_trial(scen, spec, 0)
+        frozen, adaptive = out[("single-timescale", 1)], out[("tts-pdd", 1)]
+        assert frozen[0] > 0
+        assert frozen[0] == pytest.approx(adaptive[0], rel=1e-9)
+
+    def test_power_budget(self, monkeypatch):
         scen = small_scenario(users=2, n_shape=(2, 2), m=2)
-        scsi = build_scsi(scen, substream(45, "s"))
-        cfg, w = single_timescale(scsi, 2, scen.transmit_power, scen.noise_powers,
-                                  np.ones(2), ssca_params=SscaParams(max_iters=20, patience=3),
-                                  rng=substream(45, "ssca"))
+        spec = ExperimentSpec(scenario=scen, schemes=("single-timescale",), q_bits=(1,),
+                              slots=2, trials=1, weights=np.ones(2), seed=45,
+                              ssca=SscaParams(max_iters=20, patience=3))
+        frozen, fixed = [], harness._fixed_precoders
+
+        def spy(t, v, w):
+            frozen.append((v, w))
+            return fixed(t, v, w)
+
+        monkeypatch.setattr(harness, "_fixed_precoders", spy)
+        harness._run_trial(scen, spec, 0)
+        ((v, w),) = frozen
+        assert v.shape == (4,) and w.shape == (2, 2)
         assert np.sum(np.abs(w) ** 2) <= scen.transmit_power + 1e-9
-        assert np.allclose(np.abs(cfg.v), 1.0)
+        assert np.allclose(np.abs(v), 1.0)
 
     def test_multiuser_rayleigh_direct_below_random_phase(self):
         # frozen statistical precoders suffer unmanaged interference, losing
         # even to random phases with per-slot precoding
         scen = small_scenario(users=3, n_shape=(2, 3), m=3, betas_db=(0.0, 5.0, 5.0))
         scen.rician.beta_au = 0.0
-        p, noise = scen.transmit_power, scen.noise_powers
-        alpha = np.ones(3)
-        frozen_sum, random_sum = [], []
-        for trial in range(5):
-            scsi = build_scsi(scen, substream(4400 + trial, "scsi"))
-            cfg, w = single_timescale(scsi, 2, p, noise, alpha,
-                                      ssca_params=SscaParams(max_iters=60, patience=10),
-                                      rng=substream(4400 + trial, "ssca"))
-            for s in range(30):
-                ch = sample_instantaneous(scsi, substream(4400 + trial, "slot", s))
-                r = reference_rates(cfg.v, w, ch, noise)
-                frozen_sum.append(r.sum())
-                rv = random_phase(2, 6, substream(4400 + trial, "ph", s))
-                ww = wmmse_solve(effective_channels(rv.v, ch), alpha, p, noise).w
-                r2 = reference_rates(rv.v, ww, ch, noise)
-                random_sum.append(r2.sum())
-        assert np.mean(frozen_sum) < np.mean(random_sum)
+        spec = ExperimentSpec(scenario=scen, schemes=("single-timescale", "random-phase"),
+                              q_bits=(1,), slots=30, trials=5, weights=np.ones(3), seed=4400,
+                              ssca=SscaParams(max_iters=60, patience=10))
+        stats, failures = harness.simulate_point(scen, spec)
+        assert failures == 0
+        assert stats[("single-timescale", 1)].mean < stats[("random-phase", 1)].mean
 
 
 class TestIcsiPerSlot:

@@ -22,11 +22,12 @@ from ttsbeam import (
     run_experiment,
     sample_instantaneous,
     simulate_point,
-    single_timescale,
+    ssca_run,
     substream,
     wmmse_solve,
 )
 from ttsbeam.config import SCHEME_TAGS
+from ttsbeam.multi_user import precoders
 from ttsbeam.harness import ExperimentError, ResultRecord
 import ttsbeam.harness as harness
 
@@ -244,15 +245,76 @@ class TestSchemeTable:
         scsi, chs = _slots(scen, seed, trial, slots)
         p, noise, levels = scen.transmit_power, scen.noise_powers, levels_for_bits(q)
         if tag == "single-timescale":
-            cfg, w = single_timescale(scsi, levels, p, noise, spec.weights, ssca_params=spec.ssca,
-                                      rng=substream(seed, "ssca", trial, q, "st"))
-            designs = [(cfg.v, w)] * slots
+            if users == 1:
+                v = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config.v
+            else:
+                v = ssca_run(scsi, p, noise, spec.weights, spec.ssca, levels=levels,
+                             rng=substream(seed, "ssca", trial, q, "st")).config.v
+            w = precoders(scsi.mean_effective_channels(v), spec.weights, p, noise)
+            designs = [(v, w)] * slots
         else:
             designs = [(d.v, d.w) for d in
                        (icsi_per_slot(ch, levels, spec.weights, p, noise) for ch in chs)]
         expected = np.mean([reference_rates(v, w, ch, noise)
                             for (v, w), ch in zip(designs, chs)], axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_cell_does_not_depend_on_the_rest_of_the_spec(self, users):
+        # a cell run alone gives the rates it gives beside every other scheme
+        # and q, although cells of one trial share their designs
+        scen = small_scenario(users=users, n_shape=(2, 2), m=2)
+        tags = tuple(tag for tag in SCHEME_TAGS if users == 1 or tag != "tts-pdd")
+        kw = dict(slots=2, trials=1, seed=61, ssca=SscaParams(max_iters=5))
+        full = harness._run_trial(scen, quick_spec(scen, schemes=tags, q_bits=(1, 2), **kw), 0)
+        assert len(full) == 2 * len(tags) - 1
+        for (tag, q), rates in full.items():
+            alone = quick_spec(scen, schemes=(tag,), q_bits=(max(q, 1),), **kw)
+            assert np.array_equal(harness._run_trial(scen, alone, 0)[(tag, q)], rates), (tag, q)
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """Patch every binding of `name` that harness and baselines call to record
+    the arguments of each call."""
+    calls, real = [], getattr(harness.baselines, name, None) or getattr(harness, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    for module in (harness, harness.baselines):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestOneDesignPerTrial:
+    def test_pdd_once_per_q(self, monkeypatch):
+        scen = small_scenario(n_shape=(2, 2), m=2)
+        calls = _record_calls(monkeypatch, "pdd_solve")
+        spec = quick_spec(scen, schemes=("tts-pdd", "single-timescale"), q_bits=(1, 2),
+                          slots=2, trials=1)
+        harness._run_trial(scen, spec, 0)
+        assert sorted(args[1].levels for args, _ in calls) == [2, 4]
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_icsi_stack_once_per_q(self, monkeypatch, users):
+        scen = small_scenario(users=users, n_shape=(2, 2), m=2)
+        calls = _record_calls(monkeypatch, "icsi_per_slot")
+        spec = quick_spec(scen, schemes=("naive-icsi", "icsi-per-slot"), q_bits=(1, 2),
+                          slots=3, trials=1)
+        harness._run_trial(scen, spec, 0)
+        assert sorted(args[1] for args, _ in calls) == [2, 4]
+        assert all(args[0].g.shape[0] == 3 for args, _ in calls)
+
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_naive_icsi_alone_designs_one_slot(self, monkeypatch, users):
+        scen = small_scenario(users=users, n_shape=(2, 2), m=2)
+        calls = _record_calls(monkeypatch, "icsi_per_slot")
+        spec = quick_spec(scen, schemes=("naive-icsi",), q_bits=(1, 2), slots=3, trials=1)
+        harness._run_trial(scen, spec, 0)
+        assert sorted(args[1] for args, _ in calls) == [2, 4]
+        assert all(args[0].g.ndim == 2 for args, _ in calls)
 
 
 class TestEmitCsv:
