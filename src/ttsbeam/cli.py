@@ -143,7 +143,7 @@ def _cmd_convergence(args) -> int:
     else:
         result = ssca_run(scsi, scenario.transmit_power, scenario.noise_powers,
                           spec.weights, spec.ssca, levels=levels_for_bits(1),
-                          rng=substream(seed, "ssca", 0, 1))
+                          rng=substream(seed, "ssca", 0))
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,rho_t,gamma_t,sum_r_hat,v_change_inf_norm\n")
             for row in result.trace:

@@ -11,17 +11,16 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import baselines
 from .channel import InstantaneousChannels, Scenario, build_scsi, effective_channels, sample_batch
 from .config import ConfigError, ExperimentSpec, db_to_linear, dbm_to_watts, levels_for_bits
-from .multi_user import precoders, slot_rates, ssca_run
+from .multi_user import precoders, project_discrete, slot_rates, ssca_run
 from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
 from .rng import substream
-from .single_user import PddParams, QuadraticForm, build_quadratic_form, pdd_solve
+from .single_user import PddParams, build_quadratic_form, pdd_solve
 
 log = logging.getLogger("ttsbeam")
 
@@ -105,10 +104,11 @@ def _scheme_cells(spec: ExperimentSpec) -> list[tuple[str, int]]:
 class _Trial:
     """One trial's draws, stacked over slots, and its slow-timescale designs.
 
-    Substreams: the statistical CSI comes from ("scsi", trial) and slot s from
-    ("samples", trial, s); schemes draw theirs through `rng`, `random-phase`
-    from ("phase", trial, s, q). Each design is made on first use and then
-    shared by every cell of the trial that reads it.
+    Substreams: the statistical CSI comes from ("scsi", trial), slot s from
+    ("samples", trial, s), the trial's one SSCA run from ("ssca", trial) and
+    `random-phase` at slot s and resolution q from ("phase", trial, s, q).
+    Each design is made on first use and then shared by every cell of the
+    trial that reads it.
     """
 
     def __init__(self, scenario: Scenario, spec: ExperimentSpec, index: int):
@@ -129,14 +129,19 @@ class _Trial:
             self._designs[key] = make()
         return self._designs[key]
 
-    @cached_property
-    def qf(self) -> QuadraticForm:
-        return build_quadratic_form(self.scsi)
-
     def pdd(self, levels: int) -> np.ndarray:
         """(N,) single-user long-term phases on the `levels` grid."""
-        return self._once(("pdd", levels),
-                          lambda: pdd_solve(self.qf, PddParams(levels=levels)).config.v)
+        qf = self._once("qf", lambda: build_quadratic_form(self.scsi))
+        return self._once(("pdd", levels), lambda: pdd_solve(qf, PddParams(levels=levels)).config.v)
+
+    def ssca(self, levels: int) -> np.ndarray:
+        """(N,) multiuser long-term phases: the trial's one SSCA iterate,
+        projected onto the `levels` grid. The iterate does not depend on the
+        grid; the run projects onto the grid of the first cell that asks."""
+        res = self._once("ssca", lambda: ssca_run(self.scsi, self.power, self.noise,
+                                                  self.spec.weights, self.spec.ssca,
+                                                  levels=levels, rng=self.rng("ssca")))
+        return project_discrete(res.v_continuous, levels).v
 
     def icsi(self, levels: int) -> baselines.IcsiDesign:
         """Per-slot instantaneous-CSI designs of the whole slot stack."""
@@ -166,9 +171,7 @@ def _tts_pdd(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _tts_ssca(t: _Trial, levels: int, q: int) -> np.ndarray:
-    res = ssca_run(t.scsi, t.power, t.noise, t.spec.weights, t.spec.ssca, levels=levels,
-                   rng=t.rng("ssca", q))
-    return _adaptive_precoders(t, res.config.v)
+    return _adaptive_precoders(t, t.ssca(levels))
 
 
 def _random_phase(t: _Trial, levels: int, q: int) -> np.ndarray:
@@ -195,11 +198,7 @@ def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
     # the trial's long-term phases, with precoders designed once on the mean channels
-    if t.scsi.num_users == 1:
-        v = t.pdd(levels)
-    else:
-        v = ssca_run(t.scsi, t.power, t.noise, t.spec.weights, t.spec.ssca, levels=levels,
-                     rng=t.rng("ssca", q, "st")).config.v
+    v = t.pdd(levels) if t.scsi.num_users == 1 else t.ssca(levels)
     w = precoders(t.scsi.mean_effective_channels(v), t.spec.weights, t.power, t.noise)
     return _fixed_precoders(t, v, w)
 

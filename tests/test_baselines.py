@@ -222,6 +222,22 @@ class TestSingleTimescale:
         assert failures == 0
         assert stats[("single-timescale", 1)].mean < stats[("random-phase", 1)].mean
 
+    @pytest.mark.parametrize("users", [1, 2])
+    def test_zero_mean_channel_transmits_nothing(self, users):
+        # every link Rayleigh: the mean channels are zero, so the statistics
+        # give no precoder to freeze, and rate 0 is the scheme's value
+        scen = small_scenario(users=users, n_shape=(2, 2), m=2, betas_db=(-np.inf,) * 3)
+        spec = ExperimentSpec(scenario=scen, schemes=("single-timescale", "no-irs"),
+                              q_bits=(1,), slots=3, trials=1, weights=np.ones(users), seed=3,
+                              ssca=SscaParams(max_iters=5))
+        if users == 1:
+            with pytest.warns(UserWarning, match="zero effective channel"):
+                out = harness._run_trial(scen, spec, 0)
+        else:
+            out = harness._run_trial(scen, spec, 0)
+        assert np.array_equal(out[("single-timescale", 1)], np.zeros(users))
+        assert np.all(out[("no-irs", 0)] > 0)
+
 
 class TestIcsiPerSlot:
     def test_single_user_matches_first_slot_design(self):

@@ -7,6 +7,7 @@ import pytest
 
 from ttsbeam import ConfigError, SweepSpec, dbm_to_watts, db_to_linear, load_config
 from ttsbeam.cli import cli_main
+import ttsbeam.harness as harness
 from ttsbeam.config import (
     default_multi_user_scenario,
     default_single_user_scenario,
@@ -308,13 +309,30 @@ class TestCli:
                        .replace("noise_power_dbm: [-80.0]",
                                 "noise_power_dbm: [-80.0, -80.0]")
                        .replace("schemes: [tts-pdd, no-irs]", "schemes: [tts-ssca]")
+                       .replace("q_bits: [1]", "q_bits: [2, 3]")
                        + "  ssca: {max_iters: 8, patience: 2}\n")
+        monkeypatch.delenv("TTSBEAM_SEED", raising=False)
         out = tmp_path / "trace.csv"
         code = cli_main(["--quiet", "convergence", "--scheme", "tts-ssca",
                          "--config", str(cfg), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,rho_t,gamma_t,sum_r_hat,v_change_inf_norm"
+
+        # the trace is the SSCA run that trial 0's cells share, at every q
+        runs, real = [], harness.ssca_run
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "ssca_run", recording)
+        spec = load_config(str(cfg))
+        harness._run_trial(spec.scenario, spec, 0)
+        (run,) = runs
+        assert len(lines) == 1 + len(run.trace) > 2
+        assert [float(line.split(",")[3]) for line in lines[1:]] == pytest.approx(
+            [row[3] for row in run.trace], rel=1e-5)
 
     def test_bad_env_seed_is_config_error(self, tiny_config, monkeypatch, capsys):
         monkeypatch.setenv("TTSBEAM_SEED", "abc")

@@ -249,7 +249,7 @@ class TestSchemeTable:
                 v = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels)).config.v
             else:
                 v = ssca_run(scsi, p, noise, spec.weights, spec.ssca, levels=levels,
-                             rng=substream(seed, "ssca", trial, q, "st")).config.v
+                             rng=substream(seed, "ssca", trial)).config.v
             w = precoders(scsi.mean_effective_channels(v), spec.weights, p, noise)
             designs = [(v, w)] * slots
         else:
@@ -296,6 +296,15 @@ class TestOneDesignPerTrial:
                           slots=2, trials=1)
         harness._run_trial(scen, spec, 0)
         assert sorted(args[1].levels for args, _ in calls) == [2, 4]
+
+    def test_one_ssca_run_for_every_q(self, monkeypatch):
+        scen = small_scenario(users=2, n_shape=(2, 2), m=2)
+        calls = _record_calls(monkeypatch, "ssca_run")
+        spec = quick_spec(scen, schemes=("tts-ssca", "single-timescale"), q_bits=(1, 2, 3),
+                          slots=2, trials=1, ssca=SscaParams(max_iters=5))
+        harness._run_trial(scen, spec, 0)
+        # the run projects onto the first cell's grid: single-timescale at q = 1
+        assert [kwargs["levels"] for _, kwargs in calls] == [2]
 
     @pytest.mark.parametrize("users", [1, 2])
     def test_icsi_stack_once_per_q(self, monkeypatch, users):
