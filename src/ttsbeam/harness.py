@@ -186,14 +186,9 @@ def _no_irs(t: _Trial, levels: int, q: int) -> np.ndarray:
 
 
 def _naive_icsi(t: _Trial, levels: int, q: int) -> np.ndarray:
-    # phases designed on the first slot only, then frozen; slot 0 of the stack
-    # design is that one-slot design bit for bit, so it is read from there
-    # when icsi-per-slot makes the stack design anyway
-    if "icsi-per-slot" in t.spec.schemes:
-        v = t.icsi(levels).v[0]
-    else:
-        v = baselines.icsi_per_slot(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise).v
-    return _adaptive_precoders(t, v)
+    # phases designed on the first slot only, then frozen
+    design = baselines.icsi_per_slot(t.ch.slot(0), levels, t.spec.weights, t.power, t.noise)
+    return _adaptive_precoders(t, design.v)
 
 
 def _single_timescale(t: _Trial, levels: int, q: int) -> np.ndarray:
