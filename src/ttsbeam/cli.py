@@ -132,8 +132,7 @@ def _cmd_convergence(args) -> int:
     scsi = build_scsi(scenario, substream(seed, "scsi", 0))
     if args.scheme == "tts-pdd":
         if scenario.num_users != 1:
-            print("tts-pdd trace requires a single-user scenario", file=sys.stderr)
-            return 1
+            raise ConfigError("tts-pdd trace requires a single-user scenario")
         result = pdd_solve(build_quadratic_form(scsi), PddParams(levels=levels_for_bits(1)),
                            record_trace=True)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

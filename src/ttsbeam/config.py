@@ -75,7 +75,7 @@ class ExperimentSpec:
     ssca: SscaParams = field(default_factory=SscaParams)
 
     def __post_init__(self):
-        self.schemes = tuple(str(s).lower() for s in self.schemes)
+        self.schemes = tuple(self.schemes)
         for s in self.schemes:
             if s not in SCHEME_TAGS:
                 raise ConfigError(f"unknown scheme tag '{s}'")
@@ -251,8 +251,8 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
                              else float(x) for k, x in ssca_raw.items()})
         return ExperimentSpec(
             scenario=scenario,
-            schemes=tuple(exp.get("schemes", ("tts-pdd",))),
-            q_bits=tuple(exp.get("q_bits", (1,))),
+            schemes=tuple(_require(exp, "schemes", "experiment")),
+            q_bits=tuple(_require(exp, "q_bits", "experiment")),
             slots=exp.get("slots", 200),
             trials=exp.get("trials", 200),
             weights=np.asarray(exp.get("weights", [1.0] * scenario.num_users), dtype=float),

@@ -292,9 +292,9 @@ def pdd_solve_batch(
     (S, N, M) factors A_s of the forms Phi_s = A_s A_s^H, so no (S, N, N)
     array is built; `bs` is (S, N). Each slot follows `pdd_solve` on
     A_s A_s^H up to rounding (the factored products round differently, so
-    objectives agree to a few ulps, not bit for bit); slots that hit a
-    stopping rule drop out of the working set so slow slots do not cost
-    full-batch compute. Returns (u, objectives, converged) with shapes
+    objectives agree to a few ulps, not bit for bit); a slot leaves the
+    working set in the step it hits a stopping rule, so slow slots do not
+    cost full-batch compute. Returns (u, objectives, converged) with shapes
     (S, N), (S,), (S,).
     """
     phis = np.asarray(phis, dtype=complex)
@@ -308,20 +308,16 @@ def pdd_solve_batch(
 
     best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
     best_u = u_all.copy()
-    pending = np.ones(s, dtype=bool)
     converged = np.zeros(s, dtype=bool)
 
-    idx = np.arange(0)
+    pending = np.arange(s)             # rows still in the outer loop
     for _ in range(PDD_MAX_OUTER):
-        if not pending.any():
+        if pending.size == 0:
             break
-        if pending.sum() != idx.size:      # the pending set only shrinks
-            idx = np.flatnonzero(pending)
-            ph_idx, b_idx = phis[idx], bs[idx]
-        ph, b, v, u = ph_idx, b_idx, v_all[idx], u_all[idx]
-        # rho and lam are fixed through the inner loop
-        rho = rho_all[idx]
-        rho_lam = rho[:, None] * lam_all[idx]
+        # rows of the inner loop; rho and lam are fixed through it
+        rows, ph, b, v, u = pending, phis[pending], bs[pending], v_all[pending], u_all[pending]
+        rho = rho_all[pending]
+        rho_lam = rho[:, None] * lam_all[pending]
         two_rho = 2.0 * rho
 
         def al_of(vv, phi_vv, uu):
@@ -331,13 +327,7 @@ def pdd_solve_batch(
 
         phi_v = _matvec(ph, v)
         al_prev = al_of(v, phi_v, u)
-        # Working rows: `live` maps them to positions within idx. A row whose
-        # inner loop stops is saved and marked inactive; inactive rows are
-        # dropped only once they are a quarter of the working set, so the
-        # working arrays are not copied at every stop.
-        live = np.arange(idx.size)
-        active = np.ones(idx.size, dtype=bool)
-        for _ in range(params.max_inner):
+        for step in range(params.max_inner):
             c = u - rho_lam + two_rho[:, None] * (phi_v + b)
             nrm2 = np.einsum("sn,sn->s", c.conj(), c).real
             scale = np.where(nrm2 <= n, 1.0, np.sqrt(n / np.maximum(nrm2, 1e-300)))
@@ -346,37 +336,30 @@ def pdd_solve_batch(
             u = quantize_phases(np.arctan2(x.imag, x.real), params.levels)
             phi_v = _matvec(ph, v)
             al_new = al_of(v, phi_v, u)
-            done = active & (np.abs(al_prev - al_new)
-                             <= PDD_EPS_IN * np.maximum(np.abs(al_prev), 1e-300))
+            stop = ((np.abs(al_prev - al_new)
+                     <= PDD_EPS_IN * np.maximum(np.abs(al_prev), 1e-300))
+                    | (step == params.max_inner - 1))
             al_prev = al_new
-            if done.any():
-                fin = np.flatnonzero(done)
-                v_all[idx[live[fin]]] = v[fin]
-                u_all[idx[live[fin]]] = u[fin]
-                active &= ~done
-                n_active = np.count_nonzero(active)
-                if n_active == 0:
+            if stop.any():
+                v_all[rows[stop]], u_all[rows[stop]] = v[stop], u[stop]
+                if stop.all():
                     break
-                if 4 * n_active <= 3 * active.size:
-                    keep = active
-                    live, active = live[keep], active[keep]
-                    v, u, rho_lam, two_rho = v[keep], u[keep], rho_lam[keep], two_rho[keep]
-                    ph, b, phi_v, al_prev = ph[keep], b[keep], phi_v[keep], al_prev[keep]
-        else:
-            v_all[idx[live[active]]] = v[active]
-            u_all[idx[live[active]]] = u[active]
+                # the next step recomputes v, so it is not carried over
+                keep = ~stop
+                rows, ph, b, u = rows[keep], ph[keep], b[keep], u[keep]
+                rho_lam, two_rho = rho_lam[keep], two_rho[keep]
+                phi_v, al_prev = phi_v[keep], al_prev[keep]
 
-        vv, uu = v_all[idx], u_all[idx]
-        obj_u = _batch_quad(uu, _matvec(ph_idx, uu), b_idx)
-        better = obj_u > best_obj[idx]
-        best_obj[idx] = np.where(better, obj_u, best_obj[idx])
-        best_u[idx] = np.where(better[:, None], uu, best_u[idx])
-        lam_all[idx] += (vv - uu) / rho_all[idx][:, None]
-        viol = np.max(np.abs(vv - uu), axis=1)
-        newly = viol < PDD_EPS_OUT
-        converged[idx[newly]] = True
-        pending[idx[newly]] = False
-        rho_all[idx[~newly]] *= params.c
+        vv, uu = v_all[pending], u_all[pending]
+        obj_u = _batch_quad(uu, _matvec(phis[pending], uu), bs[pending])
+        better = obj_u > best_obj[pending]
+        best_obj[pending] = np.where(better, obj_u, best_obj[pending])
+        best_u[pending] = np.where(better[:, None], uu, best_u[pending])
+        lam_all[pending] += (vv - uu) / rho_all[pending][:, None]
+        newly = np.max(np.abs(vv - uu), axis=1) < PDD_EPS_OUT
+        converged[pending[newly]] = True
+        rho_all[pending[~newly]] *= params.c
+        pending = pending[~newly]
 
     return best_u, best_obj.copy(), converged
 

@@ -6,13 +6,14 @@ import pytest
 from ttsbeam import (
     CorrelationSpec,
     PathLossModel,
+    PddParams,
     QuadraticForm,
     RicianFactors,
     Scenario,
 )
 from ttsbeam import baselines
 from ttsbeam.baselines import ICSI_REL_TOL, _mse_quadratic_form
-from ttsbeam.channel import effective_channels
+from ttsbeam.channel import effective_channels, quantize_phases
 from ttsbeam.multi_user import (
     WATER_LEVEL_TOL,
     WMMSE_MAX_ITERS,
@@ -20,7 +21,16 @@ from ttsbeam.multi_user import (
     WmmseState,
     slot_rates,
 )
-from ttsbeam.single_user import BCD_MAX_SWEEPS, BCD_REL_TOL
+from ttsbeam.single_user import (
+    BCD_MAX_SWEEPS,
+    BCD_REL_TOL,
+    PDD_EPS_IN,
+    PDD_EPS_OUT,
+    PDD_MAX_OUTER,
+    _batch_quad,
+    _matvec,
+    default_rho0,
+)
 
 
 def cscg(rng, shape):
@@ -204,6 +214,107 @@ def reference_bcd(qf, levels, v0=None):
             break
         obj = new_obj
     return v, obj, history
+
+
+# `pdd_solve_batch` as it was before its working set dropped each finished
+# row at once: inactive rows compacted once they are a quarter of the set,
+# and a for-else flush at max_inner. The library must match it bit for bit.
+def reference_pdd_batch(
+    phis: np.ndarray, bs: np.ndarray, params: PddParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the penalty solver on many independent quadratic forms at once.
+
+    Despite its name, which the benchmark's tracer reads, `phis` holds the
+    (S, N, M) factors A_s of the forms Phi_s = A_s A_s^H, so no (S, N, N)
+    array is built; `bs` is (S, N). Each slot follows `pdd_solve` on
+    A_s A_s^H up to rounding (the factored products round differently, so
+    objectives agree to a few ulps, not bit for bit); slots that hit a
+    stopping rule drop out of the working set so slow slots do not cost
+    full-batch compute. Returns (u, objectives, converged) with shapes
+    (S, N), (S,), (S,).
+    """
+    phis = np.asarray(phis, dtype=complex)
+    bs = np.asarray(bs, dtype=complex)
+    s, n = bs.shape
+
+    v_all = np.ones((s, n), dtype=complex)
+    u_all = quantize_phases(np.angle(v_all), params.levels)
+    lam_all = np.zeros((s, n), dtype=complex)
+    rho_all = default_rho0(np.swapaxes(phis.conj(), -1, -2) @ phis)
+
+    best_obj = _batch_quad(u_all, _matvec(phis, u_all), bs)
+    best_u = u_all.copy()
+    pending = np.ones(s, dtype=bool)
+    converged = np.zeros(s, dtype=bool)
+
+    idx = np.arange(0)
+    for _ in range(PDD_MAX_OUTER):
+        if not pending.any():
+            break
+        if pending.sum() != idx.size:      # the pending set only shrinks
+            idx = np.flatnonzero(pending)
+            ph_idx, b_idx = phis[idx], bs[idx]
+        ph, b, v, u = ph_idx, b_idx, v_all[idx], u_all[idx]
+        # rho and lam are fixed through the inner loop
+        rho = rho_all[idx]
+        rho_lam = rho[:, None] * lam_all[idx]
+        two_rho = 2.0 * rho
+
+        def al_of(vv, phi_vv, uu):
+            resid = vv - uu + rho_lam
+            return (-_batch_quad(vv, phi_vv, b)
+                    + np.einsum("sn,sn->s", resid.conj(), resid).real / two_rho)
+
+        phi_v = _matvec(ph, v)
+        al_prev = al_of(v, phi_v, u)
+        # Working rows: `live` maps them to positions within idx. A row whose
+        # inner loop stops is saved and marked inactive; inactive rows are
+        # dropped only once they are a quarter of the working set, so the
+        # working arrays are not copied at every stop.
+        live = np.arange(idx.size)
+        active = np.ones(idx.size, dtype=bool)
+        for _ in range(params.max_inner):
+            c = u - rho_lam + two_rho[:, None] * (phi_v + b)
+            nrm2 = np.einsum("sn,sn->s", c.conj(), c).real
+            scale = np.where(nrm2 <= n, 1.0, np.sqrt(n / np.maximum(nrm2, 1e-300)))
+            v = c * scale[:, None]
+            x = v + rho_lam
+            u = quantize_phases(np.arctan2(x.imag, x.real), params.levels)
+            phi_v = _matvec(ph, v)
+            al_new = al_of(v, phi_v, u)
+            done = active & (np.abs(al_prev - al_new)
+                             <= PDD_EPS_IN * np.maximum(np.abs(al_prev), 1e-300))
+            al_prev = al_new
+            if done.any():
+                fin = np.flatnonzero(done)
+                v_all[idx[live[fin]]] = v[fin]
+                u_all[idx[live[fin]]] = u[fin]
+                active &= ~done
+                n_active = np.count_nonzero(active)
+                if n_active == 0:
+                    break
+                if 4 * n_active <= 3 * active.size:
+                    keep = active
+                    live, active = live[keep], active[keep]
+                    v, u, rho_lam, two_rho = v[keep], u[keep], rho_lam[keep], two_rho[keep]
+                    ph, b, phi_v, al_prev = ph[keep], b[keep], phi_v[keep], al_prev[keep]
+        else:
+            v_all[idx[live[active]]] = v[active]
+            u_all[idx[live[active]]] = u[active]
+
+        vv, uu = v_all[idx], u_all[idx]
+        obj_u = _batch_quad(uu, _matvec(ph_idx, uu), b_idx)
+        better = obj_u > best_obj[idx]
+        best_obj[idx] = np.where(better, obj_u, best_obj[idx])
+        best_u[idx] = np.where(better[:, None], uu, best_u[idx])
+        lam_all[idx] += (vv - uu) / rho_all[idx][:, None]
+        viol = np.max(np.abs(vv - uu), axis=1)
+        newly = viol < PDD_EPS_OUT
+        converged[idx[newly]] = True
+        pending[idx[newly]] = False
+        rho_all[idx[~newly]] *= params.c
+
+    return best_u, best_obj.copy(), converged
 
 
 def random_psd_qf(n, seed, rank=None):

@@ -170,6 +170,7 @@ def test_criterion_05_wmmse_monotone_and_mrt():
 SEED_TREND = 606
 
 
+@pytest.mark.slow
 def test_criterion_06_distance_trend_ordering():
     """Desk-scale rate ordering at d = 50 m with paired-gap significance."""
     t0 = time.time()
@@ -199,6 +200,7 @@ def test_criterion_06_distance_trend_ordering():
     _report("6 distance-trend ordering", f"{detail}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_rician_factor_trend():
     """Average rate grows with the cascaded Rician factor; the adaptive-design
     advantage shrinks as the channel hardens (95% confidence, 200 trials)."""
@@ -232,6 +234,7 @@ def test_criterion_07_rician_factor_trend():
             f"gap shrink {gap_shrink:.3f}±{se_shrink:.3f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_ssca_stabilization_and_amplitude_modes():
     """Weighted-rate trace settles within 500 iterations; the relaxed-amplitude
     variant settles at least as fast as unit amplitude on most seeds."""
@@ -262,6 +265,7 @@ def test_criterion_08_ssca_stabilization_and_amplitude_modes():
             f"default settled at {res.stabilized_at}, relaxed<=unit on {wins}/20, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_cross_algorithm_consistency():
     """Deterministic single-user channels: sample-driven ascent matches the
     closed-form pipeline within 2%."""

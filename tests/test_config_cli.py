@@ -105,6 +105,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_scheme_tags_are_read_verbatim(self, tmp_path):
+        path = tmp_path / "upper.yaml"
+        path.write_text(TINY_CONFIG.replace("tts-pdd", "TTS-PDD"))
+        with pytest.raises(ConfigError, match="unknown scheme tag 'TTS-PDD'"):
+            load_config(str(path))
+
     def test_env_overrides(self, tiny_config, tmp_path, monkeypatch):
         # TTSBEAM_SEED is a CLI override: the loader keeps the file's seed and
         # `run` behaves as if --seed had been given
@@ -134,7 +140,10 @@ class TestLoadConfig:
         ("c0_db: -30.0", "c0_db", "path_loss"),
         ("beta_ai_db: 3.0, ", "beta_ai_db", "rician"),
         ("  noise_power_dbm: [-80.0]\n", "noise_power_dbm", "scenario"),
-    ], ids=["path_loss", "rician", "scenario"])
+        ("  schemes: [tts-pdd, no-irs]\n", "schemes", "experiment"),
+        ("  q_bits: [1]\n", "q_bits", "experiment"),
+        (TINY_CONFIG[TINY_CONFIG.index("experiment:"):], "schemes", "experiment"),
+    ], ids=["path_loss", "rician", "scenario", "schemes", "q_bits", "no-experiment"])
     def test_missing_unit_key_is_named(self, tmp_path, old, key, section):
         path = tmp_path / "missing.yaml"
         path.write_text(TINY_CONFIG.replace(old, ""))
@@ -286,6 +295,19 @@ class TestCli:
         assert lines[0] == "outer_iter,inner_iter,al_value,objective,violation_inf_norm"
         assert len(lines) > 2
 
+    def test_convergence_pdd_on_multiuser_is_config_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "mu.yaml", tmp_path / "trace.csv"
+        cfg.write_text(TINY_CONFIG.replace("user_positions: [[2.0, 50.0, 0.0]]",
+                                           "user_positions: [[2.0, 50.0, 0.0], [3.0, 50.0, 0.0]]")
+                       .replace("r_rk: [0.5]", "r_rk: [0.3, 0.6]")
+                       .replace("noise_power_dbm: [-80.0]", "noise_power_dbm: [-80.0, -80.0]")
+                       .replace("schemes: [tts-pdd, no-irs]", "schemes: [tts-ssca]"))
+        assert cli_main(["--quiet", "convergence", "--scheme", "tts-pdd",
+                         "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: tts-pdd trace requires a single-user scenario" in err
+        assert not out.exists()
+
     def test_convergence_trace_without_config(self, tmp_path, monkeypatch):
         # the default single-user scenario at seed 0, unless --seed is given
         monkeypatch.delenv("TTSBEAM_SEED", raising=False)
@@ -353,7 +375,6 @@ class TestCli:
         assert "validate" in proc.stdout
 
 
-@pytest.mark.slow
 class TestValidate:
     def test_validate_passes_on_defaults(self):
         assert cli_main(["--quiet", "--seed", "0", "validate"]) == 0

@@ -22,7 +22,7 @@ from ttsbeam import (
 from ttsbeam.channel import grid_angles
 from ttsbeam.single_user import default_rho0, pdd_solve_batch
 
-from conftest import cscg, random_psd_qf, reference_bcd, small_scenario
+from conftest import cscg, random_psd_qf, reference_bcd, reference_pdd_batch, small_scenario
 
 
 class TestQuadraticForm:
@@ -345,3 +345,26 @@ class TestPddBatch:
             gram = np.swapaxes(a.conj(), -1, -2) @ a
             assert default_rho0(gram) == pytest.approx(10.0 / (2.0 * lam_max), rel=1e-12)
         assert default_rho0(np.zeros((1, 4, 4))) == 1.0
+
+
+class TestPddBatchWorkingSet:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(s=st.integers(1, 40), n=st.integers(1, 12), rank_frac=st.floats(0.0, 1.0),
+           levels=st.sampled_from([0, 2, 4, 8]), max_inner=st.sampled_from([2, 30]),
+           decades=st.floats(0.0, 12.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_bit_for_bit(self, s, n, rank_frac, levels, max_inner,
+                                           decades, seed):
+        # per-item scales of Phi and b spread over `decades`, so the items stop
+        # at different inner steps and outer iterations; max_inner = 2 ends
+        # items on the inner cap
+        rank = 1 + round(rank_frac * (n - 1))
+        rng = np.random.default_rng(seed)
+        phi_scale, b_scale = 10.0 ** rng.uniform(-decades / 2, decades / 2, (2, s))
+        factors = cscg(rng, (s, n, rank)) * np.sqrt(phi_scale / n)[:, None, None]
+        bs = cscg(rng, (s, n)) * b_scale[:, None]
+        params = PddParams(levels=levels, c=0.8, max_inner=max_inner)
+        u, obj, conv = pdd_solve_batch(factors, bs, params)
+        ref_u, ref_obj, ref_conv = reference_pdd_batch(factors, bs, params)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(obj, ref_obj)
+        assert np.array_equal(conv, ref_conv)
