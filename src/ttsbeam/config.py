@@ -169,6 +169,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _list(mapping: dict, key: str, where: str) -> tuple:
+    """A required list; a scalar in its place is a ConfigError naming `key`."""
+    value = _require(mapping, key, where)
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _section(raw, where: str, keys) -> dict:
     """`raw` as a mapping that holds only keys the parser reads."""
     if not isinstance(raw, dict):
@@ -251,8 +259,8 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
                              else float(x) for k, x in ssca_raw.items()})
         return ExperimentSpec(
             scenario=scenario,
-            schemes=tuple(_require(exp, "schemes", "experiment")),
-            q_bits=tuple(_require(exp, "q_bits", "experiment")),
+            schemes=_list(exp, "schemes", "experiment"),
+            q_bits=_list(exp, "q_bits", "experiment"),
             slots=exp.get("slots", 200),
             trials=exp.get("trials", 200),
             weights=np.asarray(exp.get("weights", [1.0] * scenario.num_users), dtype=float),

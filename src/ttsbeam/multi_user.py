@@ -26,6 +26,7 @@ from .single_user import mrt_precoder
 LOG2E = 1.0 / np.log(2.0)
 
 WMMSE_TOL = 1e-6            # relative weighted-sum-rate gain that ends WMMSE
+SSCA_WMMSE_TOL = 1e-4       # the same, for SSCA's sampled solves (its averages smooth the rest)
 WMMSE_MAX_ITERS = 200
 WATER_LEVEL_TOL = 1e-10     # water-level search stops within this fraction of P
 
@@ -200,17 +201,21 @@ def wmmse_solve_batch(
     power: float,
     noise: np.ndarray,
     w0: np.ndarray | None = None,
+    tol: float = WMMSE_TOL,
 ) -> list[WmmseState]:
     """Weighted sum-rate maximization for each item of a stack h (S, K, M).
 
     Alternates (i) MMSE receive scalars, (ii) MSE weights alpha_k / e_k,
     (iii) regularized-inverse precoders whose water level mu meets the power
     budget (Newton steps on 1/sqrt(p(mu))), until the weighted sum-rate
-    improves by less than WMMSE_TOL relative. The items are independent
+    improves by less than `tol` relative. The items are independent
     problems sharing the weights, budget and noise: the linear algebra runs on
     the stack, and each item keeps its own start (w0[s] if usable, else MRT)
     and stopping rule and leaves the working set when it stops, so an item's
     result does not depend on the rest of the stack. Returns one state per item.
+
+    Only `ssca_run` passes `tol` (SSCA_WMMSE_TOL); every reported rate comes
+    from a solve at WMMSE_TOL.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     n_items, k_users, m = h.shape
@@ -250,7 +255,7 @@ def wmmse_solve_batch(
             obj, new_obj = objs[j], float(weights_alpha @ r)
             traces[j].append(new_obj)
             objs[j] = new_obj
-            if new_obj - obj <= WMMSE_TOL * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
+            if new_obj - obj <= tol * max(abs(obj), 1e-12) or its == WMMSE_MAX_ITERS:
                 out[live[j]] = WmmseState(w=w[j], u_rx=u[j], weights=mw[j], mu=mus[j],
                                           objective=new_obj, trace=traces[j], iterations=its)
             else:
@@ -316,10 +321,13 @@ class SscaParams:
     patience: int = 20             # consecutive small steps required to stop
 
     def __post_init__(self):
-        if self.samples_per_iter < 1:
-            raise ValueError("need at least one sample per iteration")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        for key in ("samples_per_iter", "max_iters", "patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not 0.5 < self.rho_exponent < self.gamma_exponent <= 1.0:
             raise ValueError(
                 "step schedules need 0.5 < rho_exponent < gamma_exponent <= 1"
@@ -425,14 +433,14 @@ def ssca_run(
     """Sample-driven ascent of the average weighted sum-rate over the phases.
 
     Each iteration draws fresh channel samples, solves their precoding
-    problems at the current phases in one `wmmse_solve_batch` call (sample i
-    starts from sample i's precoders of the previous iteration), refreshes the
-    surrogate from the sampled rates and Jacobians, and takes a diminishing
-    step toward the surrogate maximizer. Stops once ||v_t - v_{t-1}||_inf
-    stays below `params.tol` for `params.patience` consecutive iterations (or,
-    with `stop_when_stable`, as soon as the weighted-rate trace meets the
-    trailing-window stability rule); the final iterate is projected onto the
-    requested phase grid.
+    problems at the current phases in one `wmmse_solve_batch` call to
+    SSCA_WMMSE_TOL (sample i starts from sample i's precoders of the previous
+    iteration), refreshes the surrogate from the sampled rates and Jacobians,
+    and takes a diminishing step toward the surrogate maximizer. Stops once
+    ||v_t - v_{t-1}||_inf stays below `params.tol` for `params.patience`
+    consecutive iterations (or, with `stop_when_stable`, as soon as the
+    weighted-rate trace meets the trailing-window stability rule); the final
+    iterate is projected onto the requested phase grid.
     """
     if amplitude not in ("relaxed", "unit"):
         raise ValueError("amplitude must be 'relaxed' or 'unit'")
@@ -453,7 +461,8 @@ def ssca_run(
         h_eff = effective_channels(state.v_prev, samples)
         # one stacked solve; sample i starts from sample i's precoders of the
         # previous iteration (MRT at t = 1)
-        states = wmmse_solve_batch(h_eff, weights_alpha, power, noise, w0=w)
+        states = wmmse_solve_batch(h_eff, weights_alpha, power, noise, w0=w,
+                                   tol=SSCA_WMMSE_TOL)
         w = np.stack([st.w for st in states])
         rates, c = slot_rates(h_eff, w, noise)
         jacs = rate_jacobian(samples, w, c, noise)

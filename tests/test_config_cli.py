@@ -150,6 +150,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"missing '{key}' in {section} section"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("  schemes: [tts-pdd, no-irs]", "  schemes: tts-pdd", "schemes"),
+        ("  q_bits: [1]", "  q_bits: 2", "q_bits"),
+    ], ids=["schemes", "q_bits"])
+    def test_scalar_in_place_of_list_is_named(self, tmp_path, old, new, key):
+        path = tmp_path / "scalar.yaml"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=f"'{key}' must be a list"):
+            load_config(str(path))
+
     def test_rayleigh_link_is_minus_infinity_db(self, tmp_path):
         path = tmp_path / "rayleigh.yaml"
         path.write_text(TINY_CONFIG.replace("beta_au_db: -3.0", "beta_au_db: -.inf"))
@@ -245,6 +255,23 @@ class TestCli:
         cfg.write_text(TINY_CONFIG.replace("  slots: 2", "  slots: 2.5"))
         assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "config error: slots must be an integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("max_iters: 0", "max_iters must be >= 1, got 0"),
+        ("max_iters: -5", "max_iters must be >= 1, got -5"),
+        ("patience: 0", "patience must be >= 1, got 0"),
+        ("samples_per_iter: 0", "samples_per_iter must be >= 1, got 0"),
+        ("tol: -1", "tol must be >= 0, got -1.0"),
+        ("tol: .nan", "tol must be >= 0, got nan"),
+        ("tau: .nan", "tau must be positive, got nan"),
+    ], ids=["max_iters-0", "max_iters-neg", "patience", "samples_per_iter", "tol-neg", "tol-nan",
+            "tau-nan"])
+    def test_bad_ssca_setting_exits_one(self, tmp_path, capsys, setting, message):
+        cfg, out = tmp_path / "ssca.yaml", tmp_path / "out.csv"
+        cfg.write_text(TINY_CONFIG.replace("  trials: 2", f"  trials: 2\n  ssca: {{{setting}}}"))
+        assert cli_main(["--quiet", "run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_grid_exits_one(self, tiny_config, tmp_path, capsys):

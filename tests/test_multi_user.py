@@ -25,8 +25,15 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam import multi_user
-from ttsbeam.multi_user import _solve_power_split, precoders, slot_rates, wmmse_solve_batch
+from ttsbeam import baselines, multi_user
+from ttsbeam.multi_user import (
+    SSCA_WMMSE_TOL,
+    WMMSE_TOL,
+    _solve_power_split,
+    precoders,
+    slot_rates,
+    wmmse_solve_batch,
+)
 
 from conftest import (
     cscg,
@@ -304,6 +311,44 @@ class TestWmmseBatch:
             assert (state.mu, state.objective, state.iterations, state.trace) == (
                 mu, objective, iterations, trace)
             assert np.sum(np.abs(state.w) ** 2) <= power * BUDGET
+
+    @settings(derandomize=True, deadline=None)
+    @given(problem=wmmse_stacks())
+    def test_ssca_tolerance_stops_a_prefix_of_the_trace(self, problem):
+        # the looser tolerance only moves the stop: each item's trace is a
+        # prefix of its trace at WMMSE_TOL, cut at the first gain below
+        # SSCA_WMMSE_TOL, and the item is its one-item solve
+        h, alpha, power, noise, w0 = problem
+        loose = wmmse_solve_batch(*problem, tol=SSCA_WMMSE_TOL)
+        for s, (state, full) in enumerate(zip(loose, wmmse_solve_batch(*problem))):
+            its = state.iterations
+            assert state.trace == full.trace[:its + 1]
+            small = [b - a <= SSCA_WMMSE_TOL * max(abs(a), 1e-12)
+                     for a, b in zip(full.trace, full.trace[1:])]
+            assert its == (small.index(True) + 1 if True in small else full.iterations)
+            alone = wmmse_solve_batch(h[s:s + 1], alpha, power, noise,
+                                      None if w0 is None else w0[s:s + 1], tol=SSCA_WMMSE_TOL)[0]
+            assert np.array_equal(state.w, alone.w)
+            assert (state.mu, state.objective, state.iterations, state.trace) == (
+                alone.mu, alone.objective, alone.iterations, alone.trace)
+
+    def test_reported_precoders_stop_at_wmmse_tol(self, monkeypatch, rng):
+        # only SSCA loosens the tolerance: every solve behind a reported rate
+        # (precoders, and the multi-user per-slot I-CSI design) uses WMMSE_TOL
+        tols = []
+
+        def spy_batch(*args, tol=WMMSE_TOL, **kwargs):
+            tols.append(tol)
+            return wmmse_solve_batch(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(multi_user, "wmmse_solve_batch", spy_batch)
+        monkeypatch.setattr(baselines, "wmmse_solve_batch", spy_batch)
+        precoders(cscg(rng, (3, 3, 4)), np.ones(3), 1.0, np.full(3, 0.1))
+        assert tols == [WMMSE_TOL]
+        ch = InstantaneousChannels(g=cscg(rng, (4, 6, 3)), h_r=cscg(rng, (4, 2, 6)),
+                                   h_d=cscg(rng, (4, 2, 3)))
+        baselines.icsi_per_slot(ch, 2, np.ones(2), 1.0, np.full(2, 0.1))
+        assert len(tols) > 2 and set(tols) == {WMMSE_TOL}
 
     def test_items_stop_on_their_own(self, rng):
         # one stack, items at different scales: each stops at its own iteration
@@ -680,8 +725,9 @@ class TestSscaRun:
         power, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(4)
         batch_calls, single_calls = [], []
 
-        def spy_batch(h, *args, w0=None):
-            states = wmmse_solve_batch(h, *args, w0=w0)
+        def spy_batch(h, *args, w0=None, tol=None):
+            assert tol == SSCA_WMMSE_TOL
+            states = wmmse_solve_batch(h, *args, w0=w0, tol=tol)
             batch_calls.append((h.copy(), None if w0 is None else w0.copy(), states))
             return states
 

@@ -8,9 +8,11 @@ the first N trials, once per checkout: each in its own subprocess, with that
 checkout's `src` and BLAS at one thread. Trial i draws from the same
 substreams on both sides, so the runs pair by trial. For each q of the config
 it prints the trials' weighted sum-rates side by side, the number of trials
-in which CHANGE is higher, and the mean paired difference (CHANGE - PARENT)
-with its standard error. The config must have no sweep, and a failed trial
-on either side is an error, since it would break the pairing.
+in which CHANGE is higher and in which the two are tied (bit-equal), and the
+mean paired difference (CHANGE - PARENT) with its standard error and in SE
+units, so a gate such as "not below -2 SE" reads straight off the output.
+The config must have no sweep, and a failed trial on either side is an
+error, since it would break the pairing.
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ def main(argv=None) -> int:
         for i, (a, b) in enumerate(zip(parent[q], change[q])):
             diffs.append(b - a)
             print(f"{i:5d}  {a:.6f}  {b:.6f}  {b - a:+.6f}")
-        se = statistics.stdev(diffs) / len(diffs) ** 0.5
+        mean, se = statistics.mean(diffs), statistics.stdev(diffs) / len(diffs) ** 0.5
+        in_se = f"{mean / se:+.2f} SE" if se else "no spread"
         print(f"mean   {statistics.mean(parent[q]):.6f}  {statistics.mean(change[q]):.6f}  "
-              f"{statistics.mean(diffs):+.6f} (SE {se:.6f})")
-        print(f"change higher in {sum(d > 0 for d in diffs)} of {len(diffs)} trials")
+              f"{mean:+.6f} (SE {se:.6f}, {in_se})")
+        print(f"change higher in {sum(d > 0 for d in diffs)} of {len(diffs)} trials, "
+              f"{sum(d == 0 for d in diffs)} tied")
     return 0
 
 
