@@ -12,7 +12,7 @@ import numpy as np
 from .channel import CONTINUOUS, InstantaneousChannels, PhaseConfig, effective_channels
 from .multi_user import WmmseState, precoders, slot_rates, wmmse_solve_batch
 from .multi_user import wmmse_solve  # noqa: F401  (perfbench's tracer test reads it here)
-from .single_user import PddParams, QuadraticForm, bcd_solve, pdd_solve_batch
+from .single_user import PddParams, bcd_solve_batch, pdd_solve_batch
 
 # per-slot instantaneous designs re-solve a full problem 200+ times per trial;
 # the faster penalty schedule is inside the range the solver tolerates without
@@ -54,23 +54,37 @@ def slot_quadratic_forms(
     return d[..., :, None] * g, d * (g @ h_d[..., None])[..., 0]
 
 
-def _mse_quadratic_form(state: WmmseState, ch: InstantaneousChannels) -> QuadraticForm:
-    """Weighted-MSE surrogate as a quadratic in v, with receivers/weights fixed.
+def _mse_quadratic_forms(
+    states: list[WmmseState], ch: InstantaneousChannels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted-MSE surrogates as quadratics in v, with receivers/weights fixed.
 
-    sum_k mw_k e_k = v^H Phi v + 2 Re{v^H b} + const, so minimizing it over the
-    grid is the same maximization problem with (Phi, b) negated.
+    For slot s, sum_k mw_k e_k = v^H Phi_s v + 2 Re{v^H b_s} + const, so
+    minimizing it over the grid is the same maximization problem with
+    (Phi_s, b_s) negated; returns the negated (S, N, N) and (S, N) forms of the
+    stack ch, one slot per state, in place to keep one (S, N, N) temporary.
     """
-    k_users, n = ch.h_r.shape
-    phi = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
+    w = np.array([state.w for state in states])                     # (S, K, M)
+    u = np.array([state.u_rx for state in states])                  # (S, K)
+    mw = np.array([state.weights for state in states])              # (S, K)
+    # mw_k |u_k|^2 with the scalar power of a one-slot form: an array's ** 2
+    # squares, which differs from pow in the last bit for some |u_k|
+    coef = mw * np.reshape([x ** 2 for x in np.abs(u).ravel().tolist()], u.shape)
+    lin = mw * u.conj()
+    gw = (ch.g @ w.swapaxes(1, 2)).swapaxes(1, 2)                   # (S, K, N), rows (G w_j)^T
+    s, k_users, n = ch.h_r.shape
+    phi = np.zeros((s, n, n), dtype=complex)
+    b = np.zeros((s, n), dtype=complex)
+    term = np.empty_like(phi)
     for k in range(k_users):
-        g = ch.h_r[k].conj()[None, :] * (ch.g @ state.w.T).T      # (K, N), rows g_kj
-        cd = state.w @ ch.h_d[k].conj()                            # (K,), h_d^H w_j
-        coef = state.weights[k] * np.abs(state.u_rx[k]) ** 2
-        phi += coef * (g.T @ g.conj())
-        b += coef * (g * cd.conj()[:, None]).sum(axis=0)
-        b -= state.weights[k] * state.u_rx[k].conj() * g[k]
-    return QuadraticForm(phi=-phi, b=-b, const_term=0.0)
+        g = ch.h_r[:, k, None].conj() * gw                          # (S, K, N), rows g_kj
+        cd = w @ ch.h_d[:, k, :, None].conj()                       # (S, K, 1), h_d^H w_j
+        np.matmul(g.swapaxes(1, 2), g.conj(), out=term)
+        term *= coef[:, k, None, None]
+        phi += term
+        b += coef[:, k, None] * (g * cd.conj()).sum(axis=1)
+        b -= lin[:, k, None] * g[:, k]
+    return np.negative(phi, out=phi), np.negative(b, out=b)
 
 
 @dataclass
@@ -96,12 +110,12 @@ def icsi_per_slot(
 
     Multiuser: alternate precoder optimization at fixed phases with exact
     coordinate minimization of the weighted-MSE quadratic in v. Each round is
-    one batched WMMSE solve over the slots still alternating, then one BCD
-    solve per slot; a slot stops on its own rule, so its design does not
-    depend on the rest of the stack. A slot that reaches the round cap gets
-    one more WMMSE solve for its last phases. Single user: maximize every
-    slot's effective channel power in one batched penalty solve on the slots'
-    rank-M factors, then transmit MRT.
+    one batched WMMSE solve over the slots still alternating, then one batched
+    BCD solve over those that did not stop; a slot stops on its own rule, so
+    its design does not depend on the rest of the stack. A slot that reaches
+    the round cap gets one more WMMSE solve for its last phases. Single user:
+    maximize every slot's effective channel power in one batched penalty solve
+    on the slots' rank-M factors, then transmit MRT.
     """
     one_slot = ch.g.ndim == 2
     if one_slot:
@@ -121,9 +135,9 @@ def icsi_per_slot(
         slot_objectives: list[list[float]] = [[] for _ in range(n_slots)]
         active = list(range(n_slots))
         for _ in range(ICSI_MAX_ROUNDS):
-            states = wmmse_solve_batch(effective_channels(v, ch)[active], weights_alpha,
-                                       power, noise, w0=w[active])
-            still = []
+            states = wmmse_solve_batch(effective_channels(v[active], ch.slot(active)),
+                                       weights_alpha, power, noise, w0=w[active])
+            still, still_states = [], []
             for s, state in zip(active, states):
                 w[s] = state.w
                 objs = slot_objectives[s]
@@ -131,17 +145,20 @@ def icsi_per_slot(
                 if (len(objs) > 1
                         and objs[-1] - objs[-2] <= ICSI_REL_TOL * max(abs(objs[-2]), 1e-12)):
                     continue
-                qf = _mse_quadratic_form(state, ch.slot(s))
-                v[s] = bcd_solve(qf, levels, v0=v[s]).config.v
                 still.append(s)
+                still_states.append(state)
             active = still
             if not active:
                 break
+            # the forms live only through the call, so the next round's build
+            # does not hold two (S, N, N) stacks
+            v[active] = bcd_solve_batch(*_mse_quadratic_forms(still_states, ch.slot(active)),
+                                        levels, v0=v[active])[0]
         if active:
             # slots that used every round ended on a BCD step: their precoders
             # are re-solved for their last phases; the others already match
-            states = wmmse_solve_batch(effective_channels(v, ch)[active], weights_alpha,
-                                       power, noise, w0=w[active])
+            states = wmmse_solve_batch(effective_channels(v[active], ch.slot(active)),
+                                       weights_alpha, power, noise, w0=w[active])
             w[active] = [state.w for state in states]
         objectives = [obj for objs in slot_objectives for obj in objs]
     if one_slot:

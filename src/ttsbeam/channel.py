@@ -8,7 +8,6 @@ downstream algebra works on the absorbed quantities only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -242,8 +241,8 @@ class InstantaneousChannels:
     def num_users(self) -> int:
         return self.h_r.shape[-2]
 
-    def slot(self, s: int) -> "InstantaneousChannels":
-        """Slot s of a stack."""
+    def slot(self, s: int | list[int]) -> "InstantaneousChannels":
+        """Slot s of a stack, or the stack of the slots listed in s."""
         return InstantaneousChannels(g=self.g[s], h_r=self.h_r[s], h_d=self.h_d[s])
 
 
@@ -355,23 +354,13 @@ def nearest_level(theta: np.ndarray, levels: int) -> np.ndarray:
 
     In grid steps x = (theta mod 2*pi) * L / (2*pi), the index is ceil(x - 1/2)
     mod L. x - 1/2 is exact, so an exact tie resolves to the lower index, and
-    the wrap tie x = L - 1/2 resolves to 0. `grid_index` is the same rule on
-    one Python float. A NaN or infinite angle raises FloatingPointError
-    instead of landing on an arbitrary grid point.
+    the wrap tie x = L - 1/2 resolves to 0. A NaN or infinite angle raises
+    FloatingPointError instead of landing on an arbitrary grid point.
     """
     x = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi) * levels / (2.0 * np.pi)
     if np.isnan(x).any():
         raise FloatingPointError("cannot quantize an angle that is not finite")
     return np.where(x == levels - 0.5, 0, np.ceil(x - 0.5).astype(int) % levels)
-
-
-def grid_index(theta: float, levels: int) -> int:
-    """`nearest_level` of one Python float, bit for bit, without numpy's per-call cost."""
-    x = theta % (2.0 * math.pi) * levels / (2.0 * math.pi)
-    try:
-        return 0 if x == levels - 0.5 else math.ceil(x - 0.5) % levels
-    except ValueError:  # math.ceil of the NaN that a NaN or infinite angle leaves
-        raise FloatingPointError("cannot quantize an angle that is not finite") from None
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,6 @@ from .channel import (
     CONTINUOUS,
     PhaseConfig,
     StatisticalCsi,
-    grid_index,
-    grid_points,
     phase_vector,
     quantize_phases,
 )
@@ -239,36 +237,82 @@ def bcd_solve(
     levels: int,
     v0: np.ndarray | None = None,
 ) -> BcdResult:
-    """One-at-a-time exact coordinate maximization over the phase grid.
+    """One-at-a-time exact coordinate maximization over the phase grid: the
+    one-item case of `bcd_solve_batch`."""
+    v, objectives, histories = bcd_solve_batch(
+        qf.phi[None], qf.b[None], levels, None if v0 is None else phase_vector(v0)[None])
+    return BcdResult(config=PhaseConfig(v[0], levels=levels), objective=float(objectives[0]),
+                     sweep_objectives=histories[0])
+
+
+def _quadratics(phis: np.ndarray, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-row v^H Phi v + 2 Re{v^H b} as stacked products that round as
+    `QuadraticForm.quadratic` does on one row ((v^H Phi) v; einsum rounds otherwise)."""
+    vh = v.conj()[:, None, :]
+    return ((vh @ phis) @ v[:, :, None])[:, 0, 0].real + 2.0 * (vh @ bs[:, :, None])[:, 0, 0].real
+
+
+def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex a * b, rounded as numpy rounds the product of two
+    complex scalars; its vector loops fuse a multiply-add, which moves last bits."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def bcd_solve_batch(
+    phis: np.ndarray, bs: np.ndarray, levels: int, v0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Coordinate maximization of many independent forms (S, N, N), (S, N) at once.
 
     Each coordinate update maximizes 2 Re{v_n^* q_n} with
-    q_n = sum_{j != n} Phi(n, j) v_j + b_n, so the objective never decreases.
-    Sweeps stop once one gains at most BCD_REL_TOL relative.
+    q_n = sum_{j != n} Phi(n, j) v_j + b_n, so the objective never decreases;
+    a row whose q_n is 0 keeps v_n. Coordinate n is swept over every row still
+    working. A row starts from v0[s] (all ones if v0 is None), which must lie
+    on the grid, and leaves the working set in the sweep that gains at most
+    BCD_REL_TOL relative, so every row equals its one-row solve bit for bit.
+    Returns (v, objectives, sweep objectives) with shapes (S, N), (S,) and
+    S lists.
     """
-    n = qf.size
-    v = np.ones(n, dtype=complex) if v0 is None else phase_vector(v0).copy()
+    phis = np.array(phis, dtype=complex)        # owned: the working set moves up in place
+    bs = np.asarray(bs, dtype=complex)
+    n = bs.shape[-1]
+    v = np.ones(bs.shape, dtype=complex) if v0 is None else np.array(v0, dtype=complex)
     if levels != CONTINUOUS:
         on_grid = quantize_phases(np.angle(v), levels)
-        if np.max(np.abs(on_grid - v)) > 1e-9:
+        if (np.abs(on_grid - v) > 1e-9).any():
             raise ValueError("v0 must lie on the phase grid")
         v = on_grid
-    grid = None if levels == CONTINUOUS else grid_points(levels)
-    obj = qf.quadratic(v)
-    history = [obj]
+    out = np.empty_like(v)
+    obj = _quadratics(phis, bs, v)
+    objectives = obj.copy()
+    histories = [[o] for o in obj.tolist()]
+    live = np.arange(len(bs))
     for _ in range(BCD_MAX_SWEEPS):
+        # Phi(n, n) v_n is read before coordinate n moves, so once per sweep
+        diag_v = _scalar_products(np.diagonal(phis, axis1=1, axis2=2), v)
+        v_col = v[:, :, None]
         for i in range(n):
-            q = qf.phi[i] @ v - qf.phi[i, i] * v[i] + qf.b[i]
-            if q == 0:
-                continue
-            theta = float(np.angle(q))
-            v[i] = np.exp(1j * theta) if grid is None else grid[grid_index(theta, levels)]
-        new_obj = qf.quadratic(v)
-        history.append(new_obj)
-        if new_obj - obj <= BCD_REL_TOL * max(abs(obj), 1e-300):
-            obj = new_obj
-            break
+            q = np.matmul(phis[:, i, None], v_col)[:, 0, 0] - diag_v[:, i] + bs[:, i]
+            np.copyto(v[:, i], quantize_phases(np.angle(q), levels), where=q != 0)
+        new_obj = _quadratics(phis, bs, v)
+        for s, o in zip(live.tolist(), new_obj.tolist()):
+            histories[s].append(o)
+        done = new_obj - obj <= BCD_REL_TOL * np.maximum(np.abs(obj), 1e-300)
         obj = new_obj
-    return BcdResult(config=PhaseConfig(v, levels=levels), objective=obj, sweep_objectives=history)
+        if done.any():
+            # stopped rows leave the working set; the forms are moved, not
+            # copied, so that no step holds two (S, N, N) stacks
+            out[live[done]], objectives[live[done]] = v[done], obj[done]
+            keep = np.flatnonzero(~done)
+            for row, j in enumerate(keep.tolist()):
+                phis[row] = phis[j]
+            live, phis, bs, v, obj = live[keep], phis[:keep.size], bs[keep], v[keep], obj[keep]
+            if not live.size:
+                break
+    out[live], objectives[live] = v, obj
+    return out, objectives, histories
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ from ttsbeam import (
     Scenario,
 )
 from ttsbeam import baselines
-from ttsbeam.baselines import ICSI_REL_TOL, _mse_quadratic_form
-from ttsbeam.channel import effective_channels, quantize_phases
+from ttsbeam.baselines import ICSI_REL_TOL
+from ttsbeam.channel import InstantaneousChannels, effective_channels, quantize_phases
 from ttsbeam.multi_user import (
     WATER_LEVEL_TOL,
     WMMSE_MAX_ITERS,
@@ -164,10 +164,31 @@ def reference_icsi_per_slot(ch, levels, weights_alpha, power, noise):
         if prev is not None and obj - prev <= ICSI_REL_TOL * max(abs(prev), 1e-12):
             break
         state = WmmseState(w=w, u_rx=u, weights=mw, mu=0.0, objective=obj)
-        v = reference_bcd(_mse_quadratic_form(state, ch), levels, v0=v)[0]
+        v = reference_bcd(reference_mse_quadratic_form(state, ch), levels, v0=v)[0]
     else:
         w = reference_wmmse(effective_channels(v, ch), weights_alpha, power, noise, w0=w)[0]
     return v, w, objectives
+
+
+# The one-slot MSE form builder as it was before the forms were built on the
+# slot stack. The library's stacked forms must match it bit for bit.
+def reference_mse_quadratic_form(state: WmmseState, ch: InstantaneousChannels) -> QuadraticForm:
+    """Weighted-MSE surrogate as a quadratic in v, with receivers/weights fixed.
+
+    sum_k mw_k e_k = v^H Phi v + 2 Re{v^H b} + const, so minimizing it over the
+    grid is the same maximization problem with (Phi, b) negated.
+    """
+    k_users, n = ch.h_r.shape
+    phi = np.zeros((n, n), dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    for k in range(k_users):
+        g = ch.h_r[k].conj()[None, :] * (ch.g @ state.w.T).T      # (K, N), rows g_kj
+        cd = state.w @ ch.h_d[k].conj()                            # (K,), h_d^H w_j
+        coef = state.weights[k] * np.abs(state.u_rx[k]) ** 2
+        phi += coef * (g.T @ g.conj())
+        b += coef * (g * cd.conj()[:, None]).sum(axis=0)
+        b -= state.weights[k] * state.u_rx[k].conj() * g[k]
+    return QuadraticForm(phi=-phi, b=-b, const_term=0.0)
 
 
 def reference_nearest_level(theta, levels):

@@ -18,12 +18,19 @@ from ttsbeam import (
     substream,
     wmmse_solve,
 )
-from ttsbeam.baselines import ICSI_PDD, slot_quadratic_forms
+from ttsbeam.baselines import ICSI_PDD, _mse_quadratic_forms, slot_quadratic_forms
 from ttsbeam.channel import InstantaneousChannels, PhaseConfig, grid_angles
+from ttsbeam.multi_user import WmmseState
 from ttsbeam.single_user import pdd_solve_batch
 import ttsbeam.harness as harness
 
-from conftest import cscg, reference_icsi_per_slot, reference_rates, small_scenario
+from conftest import (
+    cscg,
+    reference_icsi_per_slot,
+    reference_mse_quadratic_form,
+    reference_rates,
+    small_scenario,
+)
 
 
 class TestRandomPhase:
@@ -306,6 +313,43 @@ class TestIcsiPerSlot:
                     assert np.array_equal(design.v[s], v)
                     assert np.array_equal(design.w[s], w)
                 assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
+
+    def test_shipped_size_stack_matches_per_slot_reference(self, monkeypatch):
+        # BLAS kernels differ by size: the shipped N = 40, K = 4, M = 6 on three
+        # slots, with the round cap at 2
+        scen = small_scenario(users=4, n_shape=(5, 8), m=6)
+        scsi = build_scsi(scen, substream(51, "s"))
+        ch = InstantaneousChannels(*sample_batch(scsi, 3, substream(51, "slots")))
+        p, noise, alpha = scen.transmit_power, scen.noise_powers, np.ones(4)
+        monkeypatch.setattr(baselines, "ICSI_MAX_ROUNDS", 2)
+        design = icsi_per_slot(ch, 4, alpha, p, noise)
+        refs = [reference_icsi_per_slot(ch.slot(s), 4, alpha, p, noise) for s in range(3)]
+        for s, (v, w, _) in enumerate(refs):
+            assert np.array_equal(design.v[s], v)
+            assert np.array_equal(design.w[s], w)
+        assert design.round_objectives == [obj for _, _, objs in refs for obj in objs]
+
+    def test_mse_forms_match_one_slot_reference(self):
+        # the stacked forms equal the one-slot builder bit for bit at the
+        # shipped size, at K > 8, and on one-user slots enough that some
+        # weighted |u_k|^2 round differently from pow as an array's square
+        rng = np.random.default_rng(1)
+        square_differs = 0
+        for s, k, n, m in [(5, 4, 40, 6), (3, 9, 7, 3), (2048, 1, 4, 1)]:
+            ch = InstantaneousChannels(g=cscg(rng, (s, n, m)), h_r=cscg(rng, (s, k, n)),
+                                       h_d=cscg(rng, (s, k, m)))
+            states = [WmmseState(w=cscg(rng, (k, m)),
+                                 u_rx=cscg(rng, k) * 10.0 ** rng.uniform(-5.0, 5.0, k),
+                                 weights=rng.uniform(0.5, 50.0, k), mu=0.0, objective=0.0)
+                      for _ in range(s)]
+            phis, bs = _mse_quadratic_forms(states, ch)
+            for j, state in enumerate(states):
+                ref = reference_mse_quadratic_form(state, ch.slot(j))
+                assert np.array_equal(phis[j], ref.phi) and np.array_equal(bs[j], ref.b)
+                square_differs += np.count_nonzero(
+                    state.weights * np.abs(state.u_rx) ** 2
+                    != [mw * np.abs(u) ** 2 for mw, u in zip(state.weights, state.u_rx)])
+        assert square_differs > 0
 
     @pytest.mark.parametrize("levels", [0, 2, 4])
     def test_single_user_stack_is_one_batch(self, levels):

@@ -19,7 +19,6 @@ from ttsbeam.channel import (
     GRID_ANGLE_TOL,
     InstantaneousChannels,
     PhaseConfig,
-    grid_index,
     nearest_level,
     quantize_phases,
 )
@@ -393,9 +392,6 @@ class TestNearestLevel:
         # tie's lowest index is 0
         dist = np.abs(grid_steps(np.asarray(theta), levels)[..., None] - np.arange(levels))
         assert np.array_equal(got, np.argmin(np.minimum(dist, levels - dist), axis=-1))
-        # the one-float spelling BCD uses is the same rule
-        for t, i in zip(np.atleast_1d(theta), np.atleast_1d(got)):
-            assert grid_index(float(t), levels) == i
 
     def test_exact_ties(self):
         exact = 0
@@ -407,7 +403,6 @@ class TestNearestLevel:
                 exact += 1
                 want = 0 if k == levels - 1 else k
                 assert nearest_level(theta, levels) == want
-                assert grid_index(theta, levels) == want
         assert exact >= 100         # 104 of the 136 ties have an exact angle
 
 
@@ -417,15 +412,11 @@ class TestNearestLevel:
                                        np.array([[0.5, -np.inf]]), np.nan])
     def test_non_finite_angle_raises(self, theta):
         # a NaN used to map to an arbitrary level: [nan, 1.0] at L = 4 gave [0, 1]
-        bad = [float(x) for x in np.ravel(theta) if not np.isfinite(x)]
         for levels in (1, 3, 4):
             with pytest.raises(FloatingPointError):
                 nearest_level(theta, levels)
             with pytest.raises(FloatingPointError):
                 quantize_phases(theta, levels)
-            for x in bad:
-                with pytest.raises(FloatingPointError):
-                    grid_index(x, levels)
 
 
 class TestQuantizePhases:

@@ -20,7 +20,7 @@ from ttsbeam import (
     substream,
 )
 from ttsbeam.channel import grid_angles
-from ttsbeam.single_user import default_rho0, pdd_solve_batch
+from ttsbeam.single_user import bcd_solve_batch, default_rho0, pdd_solve_batch
 
 from conftest import cscg, random_psd_qf, reference_bcd, reference_pdd_batch, small_scenario
 
@@ -285,6 +285,62 @@ class TestBcd:
         for scale in (1e-6, 1e3):
             qs = QuadraticForm(phi=scale * qf.phi, b=scale * qf.b, const_term=0.0)
             assert np.array_equal(base, bcd_solve(qs, levels=4).config.v)
+
+
+class TestBcdBatch:
+    @staticmethod
+    def stack(forms):
+        return np.array([qf.phi for qf in forms]), np.array([qf.b for qf in forms])
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(s=st.integers(1, 12), n=st.integers(1, 12), levels=st.sampled_from([0, 1, 2, 4, 8]),
+           decades=st.floats(0.0, 12.0), zero_frac=st.floats(0.0, 0.5), start=st.booleans(),
+           skew=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_bit_for_bit(self, s, n, levels, decades, zero_frac, start, skew,
+                                           seed):
+        # item scales spread over `decades` and half the items negated, as the
+        # multi-user MSE forms are; a zero row, column and b entry make q_n == 0
+        # on every sweep, so that coordinate keeps its start. `skew` gives the
+        # diagonal the rounding-level imaginary part a Hermitian form may carry
+        rng = np.random.default_rng(seed)
+        forms = []
+        for _ in range(s):
+            qf = random_psd_qf(n, int(rng.integers(2 ** 32)), int(rng.integers(1, n + 1)))
+            scale = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-decades / 2, decades / 2)
+            phi, b = scale * qf.phi, scale * qf.b
+            zero = rng.random(n) < zero_frac
+            phi[zero], phi[:, zero], b[zero] = 0.0, 0.0, 0.0
+            if skew:
+                phi += np.diag(1e-12j * np.abs(phi).max() * rng.standard_normal(n) * ~zero)
+            forms.append(QuadraticForm(phi=phi, b=b, const_term=0.0))
+        v0 = None
+        if start:
+            v0 = np.exp(1j * (rng.uniform(0.0, 2.0 * np.pi, (s, n)) if levels == 0
+                              else grid_angles(levels)[rng.integers(0, levels, (s, n))]))
+        v, obj, histories = bcd_solve_batch(*self.stack(forms), levels, v0)
+        for j, qf in enumerate(forms):
+            ref_v, ref_obj, ref_history = reference_bcd(qf, levels, None if v0 is None else v0[j])
+            assert np.array_equal(v[j], ref_v)
+            assert obj[j] == ref_obj
+            assert histories[j] == ref_history
+
+    def test_items_stop_on_their_own_sweeps(self):
+        # each item keeps the phases of the sweep it stopped in, whatever the
+        # rest of the stack does after it
+        forms = [random_psd_qf(12, 700 + j, rank=1 + j) for j in range(12)]
+        v, obj, histories = bcd_solve_batch(*self.stack(forms), 4)
+        assert len({len(h) for h in histories}) > 2
+        for j, qf in enumerate(forms):
+            one = bcd_solve(qf, 4)
+            assert np.array_equal(v[j], one.config.v)
+            assert obj[j] == one.objective and histories[j] == one.sweep_objectives
+
+    def test_rejects_off_grid_start(self):
+        forms = [random_psd_qf(3, 20 + j) for j in range(3)]
+        v0 = np.ones((3, 3), dtype=complex)
+        v0[2, 1] = np.exp(0.3j)
+        with pytest.raises(ValueError):
+            bcd_solve_batch(*self.stack(forms), 2, v0)
 
 
 class TestBruteForce:
